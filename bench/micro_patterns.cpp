@@ -61,9 +61,11 @@ BENCHMARK(BM_InterpMapReduce)->Arg(1 << 12)->Arg(1 << 16);
 void BM_ParallelExecutor(benchmark::State &S) {
   Program P = mapReduceProgram();
   InputMap In = doubles(1 << 16);
+  EvalOptions Opts;
+  Opts.Threads = static_cast<unsigned>(S.range(0));
+  Opts.MinChunk = 4096;
   for (auto _ : S)
-    benchmark::DoNotOptimize(
-        evalProgramParallel(P, In, static_cast<unsigned>(S.range(0)), 4096));
+    benchmark::DoNotOptimize(evalProgramRecover(P, In, Opts));
 }
 BENCHMARK(BM_ParallelExecutor)->Arg(1)->Arg(2)->Arg(4);
 
@@ -139,11 +141,11 @@ double engineMs(const Program &P, const InputMap &In, engine::EngineMode M,
   EvalOptions Opts;
   Opts.Threads = Threads;
   Opts.Mode = M;
-  evalProgramWith(P, In, Opts); // warm-up + kernel compile
+  evalProgramRecover(P, In, Opts); // warm-up + kernel compile
   double Best = 0;
   for (int R = 0; R < Reps; ++R) {
     auto T0 = std::chrono::steady_clock::now();
-    Value V = evalProgramWith(P, In, Opts);
+    ExecResult V = evalProgramRecover(P, In, Opts);
     double Ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - T0)
                     .count();

@@ -46,7 +46,6 @@
 #include "runtime/Executor.h"
 #include "support/Table.h"
 #include "transform/Pipeline.h"
-#include "transform/Soa.h"
 #include "tune/Tuner.h"
 
 #include <algorithm>
@@ -116,14 +115,10 @@ void runCase(const std::string &Name, const Program &P, const InputMap &In,
   CompileOptions CO;
   CO.T = Target::Sequential;
   CompileResult CR = compileProgram(P, CO);
-  InputMap Adapted = In;
-  for (const auto &[InName, Kept] : CR.SoaConverted)
-    Adapted[InName] =
-        aosToSoa(Adapted[InName], *P.findInput(InName)->type()->elem(), Kept);
   CppEmitOptions EO;
   EO.TimingIters = Iters;
-  GeneratedRunResult G =
-      compileAndRun(CR.P, Adapted, "/tmp", "table2_" + Name, EO);
+  GeneratedRunResult G = compileAndRun(CR.P, adaptInputs(P, CR, In), "/tmp",
+                                       "table2_" + Name, EO);
   if (!G.Ok) {
     std::fprintf(stderr, "%s: generated program failed\n", Name.c_str());
     return;

@@ -54,9 +54,16 @@ int main() {
   // Iterate until the centroids stop moving.
   Value Clusters = C.toValue();
   Value Matrix = M.toValue();
+  EvalOptions EO;
+  EO.Threads = 4;
   for (int Iter = 0; Iter < 12; ++Iter) {
-    Value NewRows = evalProgramParallel(
-        CR.P, {{"matrix", Matrix}, {"clusters", Clusters}}, 4);
+    ExecResult Step = evalProgramRecover(
+        CR.P, {{"matrix", Matrix}, {"clusters", Clusters}}, EO);
+    if (!Step.ok()) {
+      std::fprintf(stderr, "step trapped: %s\n", Step.TrapMessage.c_str());
+      return 1;
+    }
+    const Value &NewRows = Step.Out;
     // Repack the produced rows as the next {data, rows, cols} struct;
     // empty clusters keep their previous centroid.
     std::vector<double> Flat;

@@ -15,8 +15,8 @@
 #include "data/Datasets.h"
 #include "ir/Traversal.h"
 #include "refimpl/RefImpl.h"
+#include "runtime/Executor.h"
 #include "transform/Pipeline.h"
-#include "transform/Soa.h"
 
 #include <chrono>
 #include <cstdio>
@@ -45,14 +45,10 @@ int main() {
 
   // Generate real C++, compile with the system compiler, run.
   InputMap In{{"lineitems", L.toAosValue()}, {"cutoff", Value(Cutoff)}};
-  InputMap Adapted = In;
-  for (const auto &[Name, Kept] : CR.SoaConverted)
-    Adapted[Name] =
-        aosToSoa(Adapted[Name], *P.findInput(Name)->type()->elem(), Kept);
   CppEmitOptions EO;
   EO.TimingIters = 5;
-  GeneratedRunResult G = compileAndRun(CR.P, Adapted, "/tmp", "example_q1",
-                                       EO);
+  GeneratedRunResult G = compileAndRun(CR.P, adaptInputs(P, CR, In), "/tmp",
+                                       "example_q1", EO);
   if (!G.Ok) {
     std::fprintf(stderr, "generated program failed (see /tmp/example_q1.log)\n");
     return 1;

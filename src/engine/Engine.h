@@ -26,7 +26,7 @@
 namespace dmll {
 namespace engine {
 
-/// How executeProgram / evalProgramWith run multiloops.
+/// How evalProgramRecover and executeProgram run multiloops.
 ///  * Interp: the boxed reference interpreter only (ground truth).
 ///  * Kernel: compile every closed multiloop to bytecode; loops the compiler
 ///    cannot lower fall back transparently to the interpreter.

@@ -8,10 +8,10 @@
 #include "observe/Events.h"
 #include "observe/MetricsRegistry.h"
 #include "observe/Sampler.h"
+#include "runtime/Executor.h"
 #include "runtime/ThreadPool.h"
 #include "support/Error.h"
 #include "transform/Pipeline.h"
-#include "transform/Soa.h"
 #include "tune/Tuner.h"
 
 #include <algorithm>
@@ -181,20 +181,6 @@ bool drainPipes(int Fds[2], std::string Bufs[2], int DeadlineMs) {
   return true;
 }
 
-/// Replicates tests/TestUtil.h adaptInputs without the gtest dependency.
-InputMap adaptForSoa(const Program &Original, const CompileResult &CR,
-                     const InputMap &Inputs) {
-  InputMap Adapted = Inputs;
-  for (const auto &[Name, Kept] : CR.SoaConverted) {
-    const InputExpr *In = Original.findInput(Name);
-    auto It = Adapted.find(Name);
-    if (!In || It == Adapted.end())
-      continue;
-    It->second = aosToSoa(It->second, *In->type()->elem(), Kept);
-  }
-  return Adapted;
-}
-
 RunResult execConfig(const FuzzCase &C, const ExecConfig &Cfg) {
   RunResult R;
   // Telemetry configuration: whole plane live inside this forked child —
@@ -216,23 +202,6 @@ RunResult execConfig(const FuzzCase &C, const ExecConfig &Cfg) {
     R.Out = refEval(C.P, C.Inputs);
     return R;
   }
-  if (Cfg.Recover) {
-    // The recoverable path: traps come back as a structured ExecResult
-    // instead of unwinding, so this configuration never relies on the
-    // fork sandbox for trap containment — the child converts the status
-    // into the ordinary trap payload.
-    EvalOptions EO;
-    EO.Threads = Cfg.Threads;
-    EO.MinChunk = Cfg.MinChunk;
-    ExecResult ER = evalProgramRecover(C.P, C.Inputs, EO);
-    if (ER.ok()) {
-      R.Out = std::move(ER.Out);
-    } else {
-      R.Status = RunStatus::Trap;
-      R.TrapMessage = std::move(ER.TrapMessage);
-    }
-    return R;
-  }
   const Program *P = &C.P;
   InputMap Adapted;
   CompileResult CR;
@@ -241,7 +210,7 @@ RunResult execConfig(const FuzzCase &C, const ExecConfig &Cfg) {
     Opts.T = Target::Numa;
     Opts.EnableLoopTransforms = Cfg.LoopTransforms;
     CR = compileProgram(C.P, Opts);
-    Adapted = adaptForSoa(C.P, CR, C.Inputs);
+    Adapted = adaptInputs(C.P, CR, C.Inputs);
     P = &CR.P;
   }
   EvalOptions EO;
@@ -261,7 +230,17 @@ RunResult execConfig(const FuzzCase &C, const ExecConfig &Cfg) {
     Tuned = tune::syntheticDecisions(*P, Cfg.Threads, Cfg.MinChunk);
     EO.Tuning = &Tuned;
   }
-  R.Out = evalProgramWith(*P, Cfg.Optimize ? Adapted : C.Inputs, EO);
+  // Traps come back as a structured ExecResult instead of unwinding, so no
+  // engine configuration relies on the fork sandbox for trap containment:
+  // the child forwards the status as the ordinary trap payload.
+  ExecResult ER =
+      evalProgramRecover(*P, Cfg.Optimize ? Adapted : C.Inputs, EO);
+  if (!ER.ok()) {
+    R.Status = RunStatus::Trap;
+    R.TrapMessage = std::move(ER.TrapMessage);
+    return R;
+  }
+  R.Out = std::move(ER.Out);
   R.Fallbacks = std::move(Stats.Fallbacks);
   // Workers race to compile nested loops first, so the recording order is
   // nondeterministic; the parity check wants the set, not the sequence.
@@ -286,7 +265,6 @@ std::vector<ExecConfig> dmll::fuzz::defaultConfigs() {
       {"kernel-opt-4t", E::Kernel, true, true, 4, 4},
       {"tuned-mixed-4t", E::Interp, false, true, 4, 4, true},
       {"telemetry-4t", E::Interp, false, true, 4, 4, false, true},
-      {"recover-4t", E::Interp, false, true, 4, 4, false, false, true},
       {"ref", E::Ref, false, true, 1, 1024},
   };
 }
@@ -597,7 +575,7 @@ Verdict dmll::fuzz::runDifferential(const FuzzCase &C, double Tol,
   // the same globals: the decision table only moves loops between engines
   // (bit-identical by the engine guarantee) and restates the global
   // Threads/MinChunk, so the comparison tolerance is exactly zero.
-  int TunedIdx = -1, UntunedIdx = -1, TelemetryIdx = -1, RecoverIdx = -1;
+  int TunedIdx = -1, UntunedIdx = -1, TelemetryIdx = -1;
   for (size_t I = 0; I < Configs.size(); ++I) {
     if (Configs[I].Optimize || Results[I].Status != RunStatus::Ok)
       continue;
@@ -605,8 +583,6 @@ Verdict dmll::fuzz::runDifferential(const FuzzCase &C, double Tol,
       TunedIdx = static_cast<int>(I);
     else if (Configs[I].Telemetry)
       TelemetryIdx = static_cast<int>(I);
-    else if (Configs[I].Recover)
-      RecoverIdx = static_cast<int>(I);
     else if (Configs[I].E == ExecConfig::Engine::Interp &&
              Configs[I].Threads > 1)
       UntunedIdx = static_cast<int>(I);
@@ -628,18 +604,6 @@ Verdict dmll::fuzz::runDifferential(const FuzzCase &C, double Tol,
         {DivergenceKind::WrongValue,
          Configs[static_cast<size_t>(TelemetryIdx)].Name,
          "telemetry run not bit-identical to " +
-             Configs[static_cast<size_t>(UntunedIdx)].Name});
-  }
-  // The recover wrapper is pure control flow around the same evaluation:
-  // a TrapError handler that never fires may not change a single bit of
-  // an Ok result.
-  if (RecoverIdx >= 0 && UntunedIdx >= 0 &&
-      !oracleEquals(Results[static_cast<size_t>(UntunedIdx)].Out,
-                    Results[static_cast<size_t>(RecoverIdx)].Out, 0.0)) {
-    V.Divergences.push_back(
-        {DivergenceKind::WrongValue,
-         Configs[static_cast<size_t>(RecoverIdx)].Name,
-         "recoverable run not bit-identical to " +
              Configs[static_cast<size_t>(UntunedIdx)].Name});
   }
   return V;

@@ -13,18 +13,18 @@
 /// engines, globals pinned so chunking matches), a telemetry configuration
 /// running with the sampling profiler and event log live (observability
 /// must be a pure observer: bit-identical to the untuned interpreter at
-/// the same globals), a recoverable configuration driving the structured
-/// ExecResult path (evalProgramRecover — traps unwind instead of
-/// aborting), and the independent mini evaluator — and checks that every
-/// configuration agrees. Each configuration runs in a forked child so a
+/// the same globals), and the independent mini evaluator — and checks that
+/// every configuration agrees. Every configuration but the mini evaluator
+/// runs through evalProgramRecover, so a trap comes back as a structured
+/// ExecResult. Each configuration runs in a forked child so a
 /// genuine crash (or a compiler-invariant fatalError, which still aborts)
 /// cannot take the harness down: the child serializes its result over a
 /// pipe and the parent classifies the exit status (clean exit = Ok or
 /// Trap depending on the payload tag, SIGABRT with a "dmll fatal error:"
 /// banner = Trap, any other signal = Crash, deadline exceeded = Timeout).
-/// Recoverable traps — TrapError unwinding out of the evaluation — are
-/// caught in the child and reported as a first-class trap payload over
-/// the pipe with a clean exit.
+/// Recoverable traps — an ExecResult status, or a TrapError unwinding out
+/// of the mini evaluator — are reported by the child as a first-class trap
+/// payload over the pipe with a clean exit.
 ///
 /// Agreement policy:
 ///  * Baseline Ok: every configuration must produce an equal value (floats
@@ -94,11 +94,6 @@ struct ExecConfig {
   /// Telemetry is a pure observer, so results must stay bit-identical to
   /// the untuned interpreter at the same globals.
   bool Telemetry = false;
-  /// Execute through evalProgramRecover: traps come back as a structured
-  /// ExecResult instead of unwinding. The recover wrapper must be
-  /// semantically invisible — Ok results bit-identical to the untuned
-  /// interpreter at the same globals, traps matching the baseline's class.
-  bool Recover = false;
 };
 
 /// The standard matrix; the first entry is the baseline (unoptimized

@@ -53,10 +53,7 @@ struct Scope {
 
 class Evaluator {
 public:
-  explicit Evaluator(const InputMap &Inputs, unsigned Threads = 1,
-                     int64_t MinChunk = 1024, ExecProfile *Profile = nullptr)
-      : Inputs(Inputs), Threads(Threads), MinChunk(MinChunk),
-        Profile(Profile) {}
+  explicit Evaluator(const InputMap &Inputs) : Inputs(Inputs) {}
 
   /// Full-option evaluator. \p Pool (required when Threads > 1) is the
   /// persistent worker pool shared by every loop of the evaluation;
@@ -65,7 +62,8 @@ public:
   Evaluator(const InputMap &Inputs, const EvalOptions &Opts, ThreadPool *Pool,
             RunControl *Control = nullptr)
       : Inputs(Inputs), Threads(Opts.Threads ? Opts.Threads : 1),
-        MinChunk(Opts.MinChunk), Profile(Opts.Profile), Mode(Opts.Mode),
+        MinChunk(Opts.MinChunk > 0 ? Opts.MinChunk : 1024),
+        Profile(Opts.Profile), Mode(Opts.Mode),
         WideKernels(Opts.WideKernels), KStats(Opts.Kernels),
         Tuning(Opts.Tuning && !Opts.Tuning->empty() ? Opts.Tuning : nullptr),
         Pool(Pool), Control(Control), Reuse(Opts.KernelReuse) {}
@@ -77,9 +75,9 @@ public:
 
 private:
   const InputMap &Inputs;
-  unsigned Threads;
-  int64_t MinChunk;
-  ExecProfile *Profile;
+  unsigned Threads = 1;
+  int64_t MinChunk = 1024;
+  ExecProfile *Profile = nullptr;
   engine::EngineMode Mode = engine::EngineMode::Interp;
   bool WideKernels = true;
   engine::KernelStats *KStats = nullptr;
@@ -651,7 +649,7 @@ private:
         int64_t Per = (N + NumChunks - 1) / NumChunks;
         std::vector<std::vector<GenState>> ChunkStates(
             static_cast<size_t>(NumChunks));
-        // Threads > 1 implies the persistent pool exists (evalProgramWith
+        // Threads > 1 implies the persistent pool exists (evalProgramRecover
         // creates one per program run; workers are reused across loops).
         ParallelForStats PStats;
         Pool->parallelFor(
@@ -1012,22 +1010,8 @@ Value dmll::evalProgram(const Program &P, const InputMap &Inputs) {
   return Evaluator(Inputs).evalTop(P.Result);
 }
 
-Value dmll::evalClosed(const ExprRef &E, const InputMap &Inputs) {
-  return Evaluator(Inputs).evalTop(E);
-}
-
-Value dmll::evalProgramParallel(const Program &P, const InputMap &Inputs,
-                                unsigned Threads, int64_t MinChunk,
-                                ExecProfile *Profile) {
-  EvalOptions Opts;
-  Opts.Threads = Threads;
-  Opts.MinChunk = MinChunk;
-  Opts.Profile = Profile;
-  return evalProgramWith(P, Inputs, Opts);
-}
-
-Value dmll::evalProgramWith(const Program &P, const InputMap &Inputs,
-                            const EvalOptions &Opts) {
+ExecResult dmll::evalProgramRecover(const Program &P, const InputMap &Inputs,
+                                    const EvalOptions &Opts) {
   unsigned Threads = Opts.Threads ? Opts.Threads : 1;
   // The run's control block lives on this frame; worker chunks observe it
   // through the shared Evaluator / LaunchContext pointers. Only armed when
@@ -1038,21 +1022,15 @@ Value dmll::evalProgramWith(const Program &P, const InputMap &Inputs,
     RC.arm(Opts.Limits);
     Control = &RC;
   }
-  if (Threads == 1 && !Opts.Pool)
-    return Evaluator(Inputs, Opts, nullptr, Control).evalTop(P.Result);
-  if (Opts.Pool)
-    return Evaluator(Inputs, Opts, Opts.Pool, Control).evalTop(P.Result);
   // One persistent pool for the whole run: workers spawn once here and are
   // reused by every parallel loop (interpreter chunks and kernel launches).
-  ThreadPool Pool(Threads);
-  return Evaluator(Inputs, Opts, &Pool, Control).evalTop(P.Result);
-}
-
-ExecResult dmll::evalProgramRecover(const Program &P, const InputMap &Inputs,
-                                    const EvalOptions &Opts) {
+  std::optional<ThreadPool> OwnPool;
+  ThreadPool *Pool = Opts.Pool;
+  if (!Pool && Threads > 1)
+    Pool = &OwnPool.emplace(Threads);
   ExecResult R;
   try {
-    R.Out = evalProgramWith(P, Inputs, Opts);
+    R.Out = Evaluator(Inputs, Opts, Pool, Control).evalTop(P.Result);
   } catch (TrapError &E) {
     R.Status = execStatusForTrap(E.kind());
     R.TrapMessage = E.message();

@@ -69,10 +69,14 @@ private:
       Map;
 };
 
-/// Knobs for evalProgramWith.
-struct EvalOptions {
+/// The run knobs, declared once for every entry point that executes a
+/// program: evalProgramRecover (through EvalOptions) and executeProgram
+/// (runtime/Executor.h). Defaults reproduce the classic single-threaded
+/// interpreter run.
+struct ExecOptions {
   unsigned Threads = 1;    ///< workers (0 selects 1)
-  int64_t MinChunk = 1024; ///< minimum parallel chunk size
+  /// Minimum parallel chunk size; <= 0 selects 1024.
+  int64_t MinChunk = 1024;
   /// Multiloop execution engine: the boxed interpreter, compiled kernels
   /// with transparent fallback, or Auto (kernels for non-tiny loops).
   engine::EngineMode Mode = engine::EngineMode::Interp;
@@ -86,16 +90,23 @@ struct EvalOptions {
   /// that loop only. Null or empty reproduces untuned execution exactly.
   const tune::DecisionTable *Tuning = nullptr;
   /// Resource ceilings for this run (runtime/Cancel.h); all-zero means
-  /// unlimited. Overruns unwind as TrapError{Deadline|Budget}, surfaced as
-  /// a structured status by evalProgramRecover / executeProgram.
+  /// unlimited. Overruns come back as a DeadlineExceeded / BudgetExceeded
+  /// status.
   ExecLimits Limits;
   /// External persistent worker pool. Null (the default) makes the run own
   /// a pool sized to Threads; non-null reuses the caller's pool across
   /// runs (the ThreadPool survives traps, so a service can keep one pool
   /// for many queries). Threads should equal Pool->numThreads().
   ThreadPool *Pool = nullptr;
+};
+
+/// Knobs for evalProgramRecover: the run knobs plus the cross-run kernel
+/// cache and the optional stats sinks. executeProgram takes ExecOptions
+/// alone because it compiles and frees its own program, whose Expr
+/// pointers a KernelReuseCache would outlive.
+struct EvalOptions : ExecOptions {
   /// Cross-run compiled-kernel cache for repeated evaluations of the same
-  /// Program object. Null compiles per run as before; non-null makes this
+  /// Program object. Null compiles per run; non-null makes this
   /// run consult the cache before invoking the kernel compiler and record
   /// its fresh outcomes into it (hits count as `engine.kernel_cache_hits`
   /// in the metrics registry).
@@ -115,51 +126,36 @@ struct ExecResult {
   bool ok() const { return Status == ExecStatus::Ok; }
 };
 
-/// Evaluates \p P.Result with the given inputs. User-program runtime faults
-/// (division by zero, out-of-range reads, bad bucket keys) throw TrapError
-/// (support/Error.h); type confusion aborts (programs are verified before
-/// evaluation in tests).
+/// Reference semantics: evaluates \p P.Result sequentially on the boxed
+/// interpreter. User-program runtime faults (division by zero, out-of-range
+/// reads, bad bucket keys) throw TrapError (support/Error.h); type
+/// confusion aborts (programs are verified before evaluation in tests).
 Value evalProgram(const Program &P, const InputMap &Inputs);
 
-/// Evaluates a closed expression (free of unbound symbols) with inputs.
-Value evalClosed(const ExprRef &E, const InputMap &Inputs);
-
-/// Parallel execution: top-level (closed) multiloops whose range is at
-/// least \p MinChunk * 2 are split into chunks executed by \p Threads
-/// worker threads and merged in index order — the Section 5 insight that a
-/// multiloop is agnostic to whether it runs over the whole range or a
-/// subset. Collect chunks concatenate; reductions combine with the
-/// (associative) reduction operator; hash buckets merge preserving
-/// first-occurrence key order. Results equal sequential evaluation up to
-/// floating-point reassociation.
+/// Runs \p P with the knobs in \p Opts and never lets a trap escape.
 ///
-/// When \p Profile is non-null it accumulates per-worker executor metrics
-/// (chunk counts, busy/queue-wait time) across every parallel loop; when a
-/// TraceSession (observe/Trace.h) is active, each parallel loop records an
-/// "exec.loop" span and each chunk an "exec.chunk" span on its worker's
-/// trace thread.
-Value evalProgramParallel(const Program &P, const InputMap &Inputs,
-                          unsigned Threads, int64_t MinChunk = 1024,
-                          ExecProfile *Profile = nullptr);
-
-/// Full-control evaluation: like evalProgramParallel, plus the engine-mode
-/// knob. Under EngineMode::Kernel / Auto, each closed multiloop is compiled
-/// once to register bytecode (src/engine) and executed unboxed; loops the
-/// kernel compiler rejects fall back transparently to the interpreter, with
-/// per-loop reasons recorded in \p Opts.Kernels. One persistent work-
-/// stealing ThreadPool is shared by every loop of the evaluation (both
-/// engines). Kernel results are bit-identical to the interpreter at equal
-/// Threads/MinChunk, including parallel float reassociation, because the
-/// engine replicates the interpreter's chunking and index-ordered merge.
-Value evalProgramWith(const Program &P, const InputMap &Inputs,
-                      const EvalOptions &Opts);
-
-/// Fault-isolated evaluation: like evalProgramWith, but traps, deadline
-/// expiry, and budget overruns are returned as a structured ExecResult
-/// instead of propagating. The process — and the ThreadPool, when
-/// \p Opts.Pool names a persistent one — survives and stays reusable: a
-/// subsequent fault-free run on the same pool is bit-identical to a fresh
-/// evaluation (docs/ROBUSTNESS.md).
+/// Closed multiloops whose range is at least 2 * MinChunk are split into
+/// chunks executed by Threads workers and merged in index order — the
+/// Section 5 insight that a multiloop is agnostic to whether it runs over
+/// the whole range or a subset. Collect chunks concatenate; reductions
+/// combine with the (associative) reduction operator; hash buckets merge
+/// preserving first-occurrence key order. Results equal sequential
+/// evaluation up to floating-point reassociation. Under EngineMode::Kernel
+/// / Auto each closed multiloop is compiled once to register bytecode
+/// (src/engine) and executed unboxed; loops the kernel compiler rejects
+/// fall back transparently to the interpreter, with per-loop reasons in
+/// \p Opts.Kernels. Kernel results are bit-identical to the interpreter at
+/// equal Threads/MinChunk, including parallel float reassociation. One
+/// persistent work-stealing ThreadPool serves every loop of the run; with
+/// \p Opts.Profile set it accumulates per-worker executor metrics, and
+/// under an active TraceSession (observe/Trace.h) each parallel loop
+/// records an "exec.loop" span and each chunk an "exec.chunk" span.
+///
+/// Traps, deadline expiry, and budget overruns come back as a structured
+/// ExecResult. The process — and the ThreadPool, when \p Opts.Pool names a
+/// persistent one — survives and stays reusable: a subsequent fault-free
+/// run on the same pool is bit-identical to a fresh evaluation
+/// (docs/ROBUSTNESS.md).
 ExecResult evalProgramRecover(const Program &P, const InputMap &Inputs,
                               const EvalOptions &Opts);
 

@@ -15,9 +15,9 @@
 ///    granularity, not per malloc) by Value materialization and column
 ///    flattening; exceeding ExecLimits::MaxMemoryBytes converts what would
 ///    have been an OOM into a graceful BudgetExceeded result.
-///  * ExecLimits / RunControl — the user-facing knobs threaded from
-///    ExecOptions through EvalOptions into LaunchContext, and the
-///    per-execution object that enforces them by throwing TrapError.
+///  * ExecLimits / RunControl — the user-facing knob declared in
+///    ExecOptions (interp/Interp.h) and threaded into LaunchContext, and
+///    the per-execution object that enforces it by throwing TrapError.
 ///
 /// All checks are cooperative: workers poll at chunk boundaries and the
 /// evaluators poll every few hundred iterations, so enforcement granularity
@@ -129,11 +129,10 @@ private:
   int64_t Limit = 0;
 };
 
-/// The per-execution control block: one per evalProgramRecover /
-/// executeProgram call, shared (by pointer, via LaunchContext and the
-/// chunk-spawned sub-evaluators) with every worker of the run. Null
-/// RunControl pointers everywhere mean "no limits, legacy abort-free
-/// trap propagation only".
+/// The per-execution control block: one per evalProgramRecover call
+/// (executeProgram runs through it), shared (by pointer, via LaunchContext
+/// and the chunk-spawned sub-evaluators) with every worker of the run.
+/// Null RunControl pointers everywhere mean "no limits".
 class RunControl {
 public:
   RunControl() = default;

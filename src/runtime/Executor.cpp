@@ -10,26 +10,23 @@
 
 using namespace dmll;
 
-ExecutionReport dmll::executeProgram(const Program &P, const InputMap &Inputs,
-                                     const CompileOptions &Opts,
-                                     unsigned Threads,
-                                     engine::EngineMode Mode,
-                                     int64_t MinChunk) {
-  ExecOptions Exec;
-  Exec.Threads = Threads;
-  Exec.Mode = Mode;
-  Exec.MinChunk = MinChunk;
-  return executeProgram(P, Inputs, Opts, Exec);
+InputMap dmll::adaptInputs(const Program &Source, const CompileResult &CR,
+                           const InputMap &Inputs) {
+  InputMap Adapted = Inputs;
+  for (const auto &[Name, Kept] : CR.SoaConverted) {
+    const InputExpr *In = Source.findInput(Name);
+    auto It = Adapted.find(Name);
+    if (In && It != Adapted.end())
+      It->second = aosToSoa(It->second, *In->type()->elem(), Kept);
+  }
+  return Adapted;
 }
 
 ExecutionReport dmll::executeProgram(const Program &P, const InputMap &Inputs,
                                      const CompileOptions &Opts,
                                      const ExecOptions &Exec) {
-  engine::EngineMode Mode = Exec.Mode;
-  unsigned Threads = Exec.Threads;
-  int64_t MinChunk = Exec.MinChunk;
   ExecutionReport R;
-  R.Mode = Mode;
+  R.Mode = Exec.Mode;
   auto C0 = std::chrono::steady_clock::now();
   CompileResult CR;
   {
@@ -40,16 +37,12 @@ ExecutionReport dmll::executeProgram(const Program &P, const InputMap &Inputs,
                         std::chrono::steady_clock::now() - C0)
                         .count();
   R.Rewrites = CR.Stats;
-  InputMap Adapted = Inputs;
+  InputMap Adapted;
   {
     TraceSpan S("exec.adapt-inputs", "exec");
-    for (const auto &[Name, Kept] : CR.SoaConverted) {
-      const InputExpr *In = P.findInput(Name);
-      if (In && Adapted.count(Name))
-        Adapted[Name] = aosToSoa(Adapted[Name], *In->type()->elem(), Kept);
-    }
+    Adapted = adaptInputs(P, CR, Inputs);
   }
-  R.Threads = Threads ? Threads : 1;
+  R.Threads = Exec.Threads ? Exec.Threads : 1;
   ExecProfile Profile;
   // Bracket the evaluation with run events and a sampling snapshot, so the
   // report carries exactly this run's sample delta even when one profiler
@@ -61,20 +54,13 @@ ExecutionReport dmll::executeProgram(const Program &P, const InputMap &Inputs,
   if (EventLog *EL = EventLog::active())
     EL->emit(EventKind::RunStart, {},
              {EventLog::num("threads", R.Threads),
-              EventLog::str("engine", engine::engineModeName(Mode))});
+              EventLog::str("engine", engine::engineModeName(Exec.Mode))});
   auto T0 = std::chrono::steady_clock::now();
   {
     TraceSpan S("exec.run", "exec");
     S.argInt("threads", R.Threads);
-    S.arg("engine", engine::engineModeName(Mode));
-    EvalOptions EOpts;
-    EOpts.Threads = R.Threads;
-    EOpts.MinChunk = MinChunk > 0 ? MinChunk : 1024;
-    EOpts.Mode = Mode;
-    EOpts.WideKernels = Exec.WideKernels;
-    EOpts.Tuning = Exec.Tuning;
-    EOpts.Limits = Exec.Limits;
-    EOpts.Pool = Exec.Pool;
+    S.arg("engine", engine::engineModeName(Exec.Mode));
+    EvalOptions EOpts{Exec};
     EOpts.Profile = &Profile;
     EOpts.Kernels = &R.Kernels;
     ExecResult ER = evalProgramRecover(CR.P, Adapted, EOpts);

@@ -81,26 +81,6 @@ struct ExecutionReport {
   SamplingSummary Sampling;
 };
 
-/// Runtime knobs for executeProgram. Defaults reproduce the classic
-/// single-threaded interpreter run; Tuning points at a per-loop decision
-/// table (tune/Decision.h) consulted for every closed multiloop.
-struct ExecOptions {
-  unsigned Threads = 1;
-  engine::EngineMode Mode = engine::EngineMode::Interp;
-  int64_t MinChunk = 1024;
-  /// Wide kernel blocks enabled by default (per-loop decisions can flip
-  /// either way).
-  bool WideKernels = true;
-  /// Optional per-loop tuning decisions; null runs untuned.
-  const tune::DecisionTable *Tuning = nullptr;
-  /// Resource ceilings (runtime/Cancel.h); all-zero = unlimited. Overruns
-  /// surface as ExecutionReport::Status Deadline/BudgetExceeded.
-  ExecLimits Limits;
-  /// External persistent worker pool reused across executions; null makes
-  /// each run own one (see EvalOptions::Pool).
-  ThreadPool *Pool = nullptr;
-};
-
 /// Compiles \p P with \p Opts, adapts \p Inputs to any SoA layout change,
 /// and runs the optimized program with the runtime knobs in \p Exec:
 /// worker count, engine mode (docs/EXECUTION.md — boxed interpreter,
@@ -118,13 +98,12 @@ ExecutionReport executeProgram(const Program &P, const InputMap &Inputs,
                                const CompileOptions &Opts,
                                const ExecOptions &Exec);
 
-/// Convenience overload with the historical flat knob list.
-ExecutionReport executeProgram(const Program &P, const InputMap &Inputs,
-                               const CompileOptions &Opts,
-                               unsigned Threads = 1,
-                               engine::EngineMode Mode =
-                                   engine::EngineMode::Interp,
-                               int64_t MinChunk = 1024);
+/// Converts the inputs of \p Source that \p CR turned from array-of-structs
+/// into struct-of-arrays (CompileResult::SoaConverted) to the SoA layout
+/// the compiled program reads. Every other input is copied unchanged, and a
+/// converted input the caller did not bind is skipped.
+InputMap adaptInputs(const Program &Source, const CompileResult &CR,
+                     const InputMap &Inputs);
 
 } // namespace dmll
 

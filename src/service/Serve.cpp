@@ -6,11 +6,11 @@
 #include "interp/Interp.h"
 #include "ir/Printer.h"
 #include "observe/MetricsRegistry.h"
+#include "runtime/Executor.h"
 #include "runtime/ThreadPool.h"
 #include "service/Catalog.h"
 #include "support/Net.h"
 #include "transform/Pipeline.h"
-#include "transform/Soa.h"
 #include "tune/TuneProfile.h"
 
 #include <cstdio>
@@ -282,8 +282,8 @@ Response Server::runRequest(const Request &R) {
         Resp.Error = "unknown app \"" + R.App + "\"";
         return Resp;
       }
-      // The cache key is the hash of the serialized IR: two apps that
-      // print to the same program share compilation by construction.
+      // Entries are keyed by app name; the hash of the serialized IR is
+      // computed once here and only reported as the response's key.
       NewE->Key = hashKey(printProgram(NewE->P));
       auto C = std::make_shared<CacheEntry::Compiled>();
       C->CR = compileProgram(NewE->P, CompileOptions());
@@ -307,17 +307,11 @@ Response Server::runRequest(const Request &R) {
       int64_t N = 0;
       makeInputs(R.App, Scale, Raw, N);
       // Adapt to the compiled program's SoA layout once per (app, scale),
-      // not per request (same pattern as tune/Tuner.cpp).
-      for (const auto &[Name, Kept] : E->C->CR.SoaConverted) {
-        const InputExpr *In = E->P.findInput(Name);
-        if (In && Raw.count(Name))
-          Raw[Name] = aosToSoa(Raw[Name], *In->type()->elem(), Kept);
-      }
+      // not per request.
       InIt = E->InputsByScale
-                 .emplace(Scale,
-                          std::make_shared<const InputMap>(std::move(Raw)))
+                 .emplace(Scale, std::make_shared<const InputMap>(
+                                     adaptInputs(E->P, E->C->CR, Raw)))
                  .first;
-      E->NByScale[Scale] = N;
     }
     Inputs = InIt->second;
   }

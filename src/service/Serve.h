@@ -15,12 +15,13 @@
 ///  * One ThreadPool, created at startup, serves every request (the
 ///    runtime/ThreadPool.h trap-containment contract is what makes that
 ///    safe: a trapped tenant drains cleanly and the pool stays reusable).
-///  * A compiled-program cache keyed by the FNV-1a hash of the program's
-///    serialized IR holds the CompileResult, a cross-request
-///    KernelReuseCache (interp/Interp.h), the app's tuning DecisionTable
-///    when a dmll-tune artifact is present, and per-scale SoA-adapted
-///    inputs. The first request for an app is a miss (compiles); every
-///    later one is a hit and runs bit-identically.
+///  * A compiled-program cache keyed by app name holds the CompileResult,
+///    a cross-request KernelReuseCache (interp/Interp.h), the app's tuning
+///    DecisionTable when a dmll-tune artifact is present, and per-scale
+///    SoA-adapted inputs; each entry also carries the FNV-1a hash of the
+///    program's serialized IR, reported as the response's key. The first
+///    request for an app is a miss (compiles); every later one is a hit
+///    and runs bit-identically.
 ///  * Every request executes under evalProgramRecover with per-request
 ///    ExecLimits, so a trapping / over-deadline / over-budget tenant gets
 ///    a structured error response and the daemon keeps serving.
@@ -142,7 +143,6 @@ private:
     struct Compiled;     ///< CompileResult + decisions (defined in .cpp)
     std::shared_ptr<Compiled> C;
     std::map<int64_t, std::shared_ptr<const InputMap>> InputsByScale;
-    std::map<int64_t, int64_t> NByScale;
   };
 
   struct Job {

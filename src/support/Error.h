@@ -11,8 +11,10 @@
 ///    (division by zero, out-of-range reads, bad bucket keys, deadline /
 ///    budget overruns). These throw TrapError via trap(), unwind cleanly
 ///    out of Interp / KernelVM / worker chunks, and surface as a structured
-///    ExecResult at the evalProgramRecover / executeProgram boundary. A
-///    process hosting many queries survives them.
+///    status at the evalProgramRecover (ExecResult) / executeProgram
+///    (ExecutionReport) boundary; only evalProgram, the reference
+///    semantics, lets them reach its caller. A process hosting many
+///    queries survives them.
 ///  * Violated *invariants* — compiler or runtime bugs (type confusion in
 ///    the IR builder, unreachable codegen cases). These still abort via
 ///    fatalError / dmllUnreachable: the process state can no longer be

@@ -10,7 +10,8 @@
 /// actually read (dead field elimination). Section 5: these optimizations
 /// "reduce complex data structures to simple arrays of primitives", enable
 /// vectorization, and simplify the stencil analysis; Table 2 credits them
-/// for TPC-H Query 1. Harness code converts input Values with aosToSoa().
+/// for TPC-H Query 1. Callers convert input Values with adaptInputs()
+/// (runtime/Executor.h), which applies aosToSoa() to each converted input.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -153,13 +153,7 @@ TuningProfile dmll::tune::tuneProgram(const std::string &App,
   // stack against the dataset the run actually saw (same SoA adaptation
   // the executor applies), calibrated with the baseline measurements.
   CompileResult CR = compileProgram(P, Opts.Compile);
-  InputMap Adapted = Inputs;
-  for (const auto &[Name, Kept] : CR.SoaConverted) {
-    const InputExpr *In = P.findInput(Name);
-    if (In && Adapted.count(Name))
-      Adapted[Name] = aosToSoa(Adapted[Name], *In->type()->elem(), Kept);
-  }
-  SizeEnv Env = sizeEnvFromInputs(CR.P, Adapted);
+  SizeEnv Env = sizeEnvFromInputs(CR.P, adaptInputs(P, CR, Inputs));
   TP.Fingerprint = sizeEnvFingerprint(Env);
   TuneCostModel Model(analyzeCosts(CR.P, CR.Partitioning, Env),
                       MachineModel::host(), TP.Threads, TP.MinChunk);
@@ -361,12 +355,7 @@ CodegenTuneResult dmll::tune::tuneGeneratedCpp(const Program &P,
     CompileOptions C2 = Copts;
     C2.Tuning = &V.Table;
     CompileResult CV = VI == 0 ? std::move(CR) : compileProgram(P, C2);
-    InputMap Adapted = Inputs;
-    for (const auto &[Name, Kept] : CV.SoaConverted) {
-      const InputExpr *In = P.findInput(Name);
-      if (In && Adapted.count(Name))
-        Adapted[Name] = aosToSoa(Adapted[Name], *In->type()->elem(), Kept);
-    }
+    InputMap Adapted = adaptInputs(P, CV, Inputs);
     CppEmitOptions EO;
     EO.TimingIters = TimingIters;
     EO.Tuning = &V.Table;

@@ -27,7 +27,7 @@ void expectGeneratedMatches(const Program &P, const InputMap &Inputs,
   CompileOptions CO;
   CO.T = Target::Sequential;
   CompileResult CR = compileProgram(P, CO);
-  InputMap Adapted = testutil::adaptInputs(P, CR, Inputs);
+  InputMap Adapted = adaptInputs(P, CR, Inputs);
   Checksum Expected = checksumValue(evalProgram(CR.P, Adapted));
 
   CppEmitOptions EO;

@@ -17,14 +17,12 @@
 #include "engine/Engine.h"
 #include "frontend/Frontend.h"
 #include "graph/Graph.h"
-#include "support/Error.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 using namespace dmll;
 using namespace dmll::frontend;
-using testutil::adaptInputs;
 
 namespace {
 
@@ -37,7 +35,7 @@ Value runMode(const Program &P, const InputMap &In, engine::EngineMode Mode,
   Opts.MinChunk = 32;
   Opts.Mode = Mode;
   Opts.Kernels = KS;
-  return evalProgramWith(P, In, Opts);
+  return testutil::evalOk(P, In, Opts);
 }
 
 /// The differential property: Kernel == Interp bit-for-bit at 1 and 3
@@ -339,16 +337,13 @@ TEST(EngineEdgeTrapTest, NegativeSizeTrapsLikeInterp) {
   ProgramBuilder B;
   Val N = B.inI64("n");
   Program P = B.build(sumRange(N, [](Val I) { return toF64(I); }));
-  InputMap In{{"n", Value(int64_t(-3))}};
-  try {
-    (void)runMode(P, In, engine::EngineMode::Kernel, 1);
-    FAIL() << "expected a TrapError";
-  } catch (const TrapError &E) {
-    EXPECT_NE(E.message().find("negative multiloop size -3"),
-              std::string::npos)
-        << E.message();
-    EXPECT_EQ(E.kind(), TrapKind::Trap);
-  }
+  EvalOptions Opts;
+  Opts.Mode = engine::EngineMode::Kernel;
+  ExecResult R = evalProgramRecover(P, {{"n", Value(int64_t(-3))}}, Opts);
+  EXPECT_EQ(R.Status, ExecStatus::Trapped);
+  EXPECT_NE(R.TrapMessage.find("negative multiloop size -3"),
+            std::string::npos)
+      << R.TrapMessage;
 }
 
 TEST(EngineEdgeTrapTest, DenseKeyOutOfRangeTrapsLikeInterp) {
@@ -359,15 +354,14 @@ TEST(EngineEdgeTrapTest, DenseKeyOutOfRangeTrapsLikeInterp) {
       Xs.len(), [&](Val I) { return XsV(I); },
       [](Val) { return Val(int64_t(1)); },
       [](Val A, Val C) { return A + C; }, Val(int64_t(4))));
-  InputMap In{{"xs", Value::arrayOfInts({0, 1, 99})}};
-  try {
-    (void)runMode(P, In, engine::EngineMode::Kernel, 1);
-    FAIL() << "expected a TrapError";
-  } catch (const TrapError &E) {
-    EXPECT_NE(E.message().find("dense bucket key 99 out of range"),
-              std::string::npos)
-        << E.message();
-  }
+  EvalOptions Opts;
+  Opts.Mode = engine::EngineMode::Kernel;
+  ExecResult R =
+      evalProgramRecover(P, {{"xs", Value::arrayOfInts({0, 1, 99})}}, Opts);
+  EXPECT_EQ(R.Status, ExecStatus::Trapped);
+  EXPECT_NE(R.TrapMessage.find("dense bucket key 99 out of range"),
+            std::string::npos)
+      << R.TrapMessage;
 }
 
 TEST(EngineStats, CompileOnceLaunchMany) {

@@ -211,8 +211,8 @@ void expectPipelineOnOffExact(const Program &P, const InputMap &Inputs) {
   Off.EnableLoopTransforms = false;
   CompileResult A = compileProgram(P, On);
   CompileResult B = compileProgram(P, Off);
-  Value VA = evalProgram(A.P, testutil::adaptInputs(P, A, Inputs));
-  Value VB = evalProgram(B.P, testutil::adaptInputs(P, B, Inputs));
+  Value VA = evalProgram(A.P, adaptInputs(P, A, Inputs));
+  Value VB = evalProgram(B.P, adaptInputs(P, B, Inputs));
   EXPECT_TRUE(VA.deepEquals(VB, 0.0))
       << "loop-transform layer changed interpreter bits";
 }
@@ -262,7 +262,7 @@ void expectEmitterOnOffExact(const Program &P, const InputMap &Inputs,
   CompileOptions CO;
   CO.T = Target::Sequential;
   CompileResult CR = compileProgram(P, CO);
-  InputMap Adapted = testutil::adaptInputs(P, CR, Inputs);
+  InputMap Adapted = adaptInputs(P, CR, Inputs);
 
   CppEmitOptions On;
   On.TimingIters = 1;
@@ -346,31 +346,31 @@ Program wideMapProgram() {
   });
 }
 
+/// Runs \p P compiled for Target::Sequential on \p Threads workers under
+/// the kernel engine, then under the interpreter.
+std::pair<ExecutionReport, ExecutionReport>
+kernelThenInterp(const Program &P, const InputMap &In, unsigned Threads) {
+  CompileOptions CO;
+  CO.T = Target::Sequential;
+  ExecOptions Exec;
+  Exec.Threads = Threads;
+  Exec.Mode = engine::EngineMode::Kernel;
+  ExecutionReport K = executeProgram(P, In, CO, Exec);
+  Exec.Mode = engine::EngineMode::Interp;
+  return {std::move(K), executeProgram(P, In, CO, Exec)};
+}
+
 } // namespace
 
 TEST(WideKernelTest, MapRunsWideAndMatchesInterpExactly) {
-  Program P = wideMapProgram();
-  InputMap In = rampInputs(100000);
-  CompileOptions CO;
-  CO.T = Target::Sequential;
-
-  ExecutionReport K = executeProgram(P, In, CO, 1, engine::EngineMode::Kernel);
-  ExecutionReport I = executeProgram(P, In, CO, 1, engine::EngineMode::Interp);
+  auto [K, I] = kernelThenInterp(wideMapProgram(), rampInputs(100000), 1);
   EXPECT_GT(K.WideBlocks, 0);
   EXPECT_EQ(K.Kernels.FallbackRuns, 0);
   EXPECT_TRUE(K.Result.deepEquals(I.Result, 0.0));
 }
 
 TEST(WideKernelTest, ParallelWideMatchesParallelInterpExactly) {
-  Program P = wideMapProgram();
-  InputMap In = rampInputs(100000);
-  CompileOptions CO;
-  CO.T = Target::Sequential;
-
-  ExecutionReport K =
-      executeProgram(P, In, CO, 4, engine::EngineMode::Kernel, 1024);
-  ExecutionReport I =
-      executeProgram(P, In, CO, 4, engine::EngineMode::Interp, 1024);
+  auto [K, I] = kernelThenInterp(wideMapProgram(), rampInputs(100000), 4);
   EXPECT_GT(K.WideBlocks, 0);
   EXPECT_TRUE(K.Result.deepEquals(I.Result, 0.0));
 }
@@ -387,8 +387,8 @@ TEST(WideKernelTest, WideToggleIsBitIdentical) {
   Off.WideKernels = false;
   Off.Profile = &POff;
 
-  Value VOn = evalProgramWith(P, In, On);
-  Value VOff = evalProgramWith(P, In, Off);
+  Value VOn = testutil::evalOk(P, In, On);
+  Value VOff = testutil::evalOk(P, In, Off);
   EXPECT_GT(POn.WideBlocks, 0);
   EXPECT_EQ(POff.WideBlocks, 0);
   EXPECT_TRUE(VOn.deepEquals(VOff, 0.0));
@@ -404,12 +404,7 @@ TEST(WideKernelTest, BranchingKernelStaysScalarAndCorrect) {
                                           constI64(7)),
                      constI64(3));
       }));
-  InputMap In = rampInputs(50000);
-  CompileOptions CO;
-  CO.T = Target::Sequential;
-
-  ExecutionReport K = executeProgram(P, In, CO, 1, engine::EngineMode::Kernel);
-  ExecutionReport I = executeProgram(P, In, CO, 1, engine::EngineMode::Interp);
+  auto [K, I] = kernelThenInterp(P, rampInputs(50000), 1);
   EXPECT_EQ(K.WideBlocks, 0);
   EXPECT_EQ(K.Kernels.FallbackRuns, 0);
   EXPECT_TRUE(K.Result.deepEquals(I.Result, 0.0));
@@ -422,14 +417,7 @@ TEST(WideKernelTest, SumReductionParallelReassociationMatchesInterp) {
   Program P = sumProgram([](ExprRef Xs, ExprRef I) {
     return binop(BinOpKind::Mul, arrayRead(Xs, I), constF64(1.0000001));
   });
-  InputMap In = rampInputs(100000);
-  CompileOptions CO;
-  CO.T = Target::Sequential;
-
-  ExecutionReport K =
-      executeProgram(P, In, CO, 4, engine::EngineMode::Kernel, 1024);
-  ExecutionReport I =
-      executeProgram(P, In, CO, 4, engine::EngineMode::Interp, 1024);
+  auto [K, I] = kernelThenInterp(P, rampInputs(100000), 4);
   EXPECT_EQ(K.WideBlocks, 0);
   EXPECT_TRUE(K.Result.deepEquals(I.Result, 0.0));
 }

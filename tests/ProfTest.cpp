@@ -324,13 +324,19 @@ Program sumOfSquares(InputMap &Inputs, int64_t N) {
   return P;
 }
 
-TEST(Calibration, ReportPairsEveryMeasuredLoop) {
+/// executeProgram on sumOfSquares(8000): 4 threads, Auto, MinChunk 128.
+ExecutionReport runSumOfSquares() {
   InputMap Inputs;
   Program P = sumOfSquares(Inputs, 8000);
-  CompileOptions Opts;
-  ExecutionReport R = executeProgram(P, Inputs, Opts, /*Threads=*/4,
-                                     engine::EngineMode::Auto,
-                                     /*MinChunk=*/128);
+  ExecOptions Exec;
+  Exec.Threads = 4;
+  Exec.Mode = engine::EngineMode::Auto;
+  Exec.MinChunk = 128;
+  return executeProgram(P, Inputs, CompileOptions(), Exec);
+}
+
+TEST(Calibration, ReportPairsEveryMeasuredLoop) {
+  ExecutionReport R = runSumOfSquares();
   ASSERT_FALSE(R.Loops.empty());
   for (const LoopProfile &LP : R.Loops) {
     EXPECT_FALSE(LP.Loop.empty());
@@ -394,12 +400,7 @@ TEST(Calibration, UnknownSignatureStaysUnmatched) {
 //===----------------------------------------------------------------------===//
 
 TEST(ProfileJson, DocumentRoundTripsWithAllSections) {
-  InputMap Inputs;
-  Program P = sumOfSquares(Inputs, 8000);
-  CompileOptions Opts;
-  ExecutionReport R = executeProgram(P, Inputs, Opts, /*Threads=*/4,
-                                     engine::EngineMode::Auto,
-                                     /*MinChunk=*/128);
+  ExecutionReport R = runSumOfSquares();
   std::string Doc = renderProfileJson(R);
   json::JValue Root;
   ASSERT_TRUE(json::parse(Doc, Root)) << Doc.substr(0, 400);

@@ -1,11 +1,11 @@
 //===- tests/RuntimeTest.cpp - Runtime substrate tests ---------*- C++ -*-===//
 
+#include "TestUtil.h"
 #include "apps/Apps.h"
 #include "apps/Gibbs.h"
 #include "data/Datasets.h"
 #include "frontend/Frontend.h"
 #include "runtime/DistArray.h"
-#include "runtime/Executor.h"
 #include "runtime/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 
 using namespace dmll;
 using namespace dmll::frontend;
+using testutil::evalOk;
 
 TEST(ThreadPoolTest, CoversRangeExactlyOnce) {
   ThreadPool Pool(4);
@@ -98,8 +99,9 @@ TEST(ParallelExecTest, MatchesSequentialOnReductions) {
     Data[I] = static_cast<double>(I % 97) * 0.25;
   InputMap In{{"xs", Value::arrayOfDoubles(Data)}};
   Value Seq = evalProgram(P, In);
-  Value Par = evalProgramParallel(P, In, 4, /*MinChunk=*/256);
+  Value Par = evalOk(P, In, 4, /*MinChunk=*/256);
   EXPECT_TRUE(Seq.deepEquals(Par, 1e-9));
+  EXPECT_TRUE(Seq.deepEquals(evalOk(P, In, 4, 0), 1e-9)); // 0 selects 1024
 }
 
 TEST(ParallelExecTest, PreservesCollectOrder) {
@@ -111,7 +113,7 @@ TEST(ParallelExecTest, PreservesCollectOrder) {
     Data[I] = static_cast<double>((I * 7919) % 23);
   InputMap In{{"xs", Value::arrayOfDoubles(Data)}};
   Value Seq = evalProgram(P, In);
-  Value Par = evalProgramParallel(P, In, 4, 128);
+  Value Par = evalOk(P, In, 4, 128);
   EXPECT_TRUE(Seq.deepEquals(Par, 0.0)); // exact: order must match
 }
 
@@ -124,7 +126,7 @@ TEST(ParallelExecTest, PreservesHashBucketKeyOrder) {
     Data[I] = static_cast<int64_t>((I * 131) % 301);
   InputMap In{{"xs", Value::arrayOfInts(Data)}};
   Value Seq = evalProgram(P, In);
-  Value Par = evalProgramParallel(P, In, 4, 200);
+  Value Par = evalOk(P, In, 4, 200);
   EXPECT_TRUE(Seq.deepEquals(Par, 0.0));
 }
 
@@ -140,7 +142,7 @@ TEST(ParallelExecTest, DenseBucketsMerge) {
   for (size_t I = 0; I < Data.size(); ++I)
     Data[I] = static_cast<int64_t>(I % 8);
   InputMap In{{"xs", Value::arrayOfInts(Data)}};
-  Value Par = evalProgramParallel(P, In, 4, 100);
+  Value Par = evalOk(P, In, 4, 100);
   ASSERT_EQ(Par.arraySize(), 8u);
   for (size_t K = 0; K < 8; ++K)
     EXPECT_EQ(Par.at(K).asInt(), 512);
@@ -152,8 +154,11 @@ TEST(ParallelExecTest, ExecutorRunsCompiledKMeans) {
   InputMap In{{"matrix", M.toValue()}, {"clusters", C.toValue()}};
   CompileOptions Opts;
   Opts.T = Target::MultiCore;
-  ExecutionReport Seq = executeProgram(apps::kmeansSharedMemory(), In, Opts, 1);
-  ExecutionReport Par = executeProgram(apps::kmeansSharedMemory(), In, Opts, 4);
+  Program P = apps::kmeansSharedMemory();
+  ExecOptions Exec;
+  ExecutionReport Seq = executeProgram(P, In, Opts, Exec);
+  Exec.Threads = 4;
+  ExecutionReport Par = executeProgram(P, In, Opts, Exec);
   EXPECT_TRUE(Seq.Result.deepEquals(Par.Result, 1e-9));
 }
 

@@ -3,6 +3,7 @@
 #include "frontend/Frontend.h"
 #include "interp/Interp.h"
 #include "ir/Verifier.h"
+#include "runtime/Executor.h"
 #include "transform/Soa.h"
 
 #include <gtest/gtest.h>
@@ -88,4 +89,22 @@ TEST(SoaTest, ScalarInputsUntouched) {
   Program P = B.build(N + Val(int64_t(1)));
   SoaResult R = soaTransform(P);
   EXPECT_FALSE(R.changed());
+}
+
+TEST(SoaTest, AdaptInputsConvertsExactlyTheConvertedInputs) {
+  ProgramBuilder B;
+  Val Pts = B.in("pts", Type::arrayOf(pointTy()), LayoutHint::Partitioned);
+  Val Qs = B.in("qs", Type::arrayOf(pointTy()), LayoutHint::Partitioned);
+  auto X = [](Val Pt) { return Pt.field("x"); };
+  Program P = B.build(sum(map(Pts, X)) + sum(map(Qs, X)) +
+                      sum(B.inVecF64("ws")));
+  CompileResult CR = compileProgram(P, CompileOptions());
+  ASSERT_EQ(CR.SoaConverted.size(), 2u); // pts and qs, never ws
+  // qs is converted but left unbound: adaptInputs skips it.
+  InputMap In{{"pts", pointsValue()}, {"ws", Value::arrayOfDoubles({1.0})}};
+  InputMap Adapted = adaptInputs(P, CR, In);
+  ASSERT_EQ(Adapted.size(), 2u);
+  EXPECT_TRUE(Adapted.at("pts").deepEquals(
+      aosToSoa(In.at("pts"), *pointTy(), CR.SoaConverted.at("pts")), 0.0));
+  EXPECT_EQ(Adapted.at("ws").array(), In.at("ws").array()); // same Value
 }

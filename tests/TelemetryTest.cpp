@@ -14,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "frontend/Frontend.h"
 #include "interp/Interp.h"
 #include "observe/Events.h"
@@ -46,23 +47,9 @@ std::string tmpPath(const std::string &Stem) {
          std::to_string(::getpid());
 }
 
-/// Mean-of-positive-squares, sized to parallelize with MinChunk 128.
-Program meanOfSquares(InputMap &Inputs) {
-  ProgramBuilder B;
-  Val Xs = B.inVecF64("xs", LayoutHint::Partitioned);
-  Val Kept = filter(Xs, [](Val X) { return X > Val(0.0); });
-  Val Squares = map(Kept, [](Val X) { return X * X; });
-  Program P = B.build(sum(Squares) / toF64(Kept.len()));
-  std::vector<double> Data;
-  for (int I = -4000; I < 4000; ++I)
-    Data.push_back(I * 0.01);
-  Inputs = {{"xs", Value::arrayOfDoubles(Data)}};
-  return P;
-}
-
 ExecutionReport runOnce(unsigned Threads = 4) {
   InputMap Inputs;
-  Program P = meanOfSquares(Inputs);
+  Program P = testutil::meanOfSquares(Inputs);
   CompileOptions CO;
   CO.T = Target::Numa;
   ExecOptions EO;

@@ -343,7 +343,7 @@ int main(int Argc, char **Argv) {
         static_cast<long long>(SrvRequests), static_cast<long long>(Ok),
         static_cast<long long>(Trapped), static_cast<long long>(Shed),
         static_cast<long long>(Aborted), static_cast<long long>(SrvHits),
-        static_cast<long long>(SrvMisses), HitRate, Rps, P50, P99);
+        static_cast<long long>(SrvMisses), HitRate, Rps, P50, P99, WallMs);
     if (FILE *F = std::fopen(BenchOut.c_str(), "w")) {
       std::fwrite(Buf, 1, std::strlen(Buf), F);
       std::fclose(F);

@@ -34,7 +34,6 @@
 #include "runtime/Executor.h"
 #include "service/Catalog.h"
 #include "support/Table.h"
-#include "transform/Soa.h"
 #include "tune/Tuner.h"
 
 #include <cstdio>
@@ -58,13 +57,8 @@ using service::makeApp;
 /// tune/Tuner.cpp).
 std::string fingerprintFor(const AppCase &A, const CompileOptions &Copts) {
   CompileResult CR = compileProgram(A.P, Copts);
-  InputMap Adapted = A.Inputs;
-  for (const auto &[Name, Kept] : CR.SoaConverted) {
-    const InputExpr *In = A.P.findInput(Name);
-    if (In && Adapted.count(Name))
-      Adapted[Name] = aosToSoa(Adapted[Name], *In->type()->elem(), Kept);
-  }
-  return tune::sizeEnvFingerprint(sizeEnvFromInputs(CR.P, Adapted));
+  return tune::sizeEnvFingerprint(
+      sizeEnvFromInputs(CR.P, adaptInputs(A.P, CR, A.Inputs)));
 }
 
 void printDecisionTable(const tune::TuningProfile &TP) {

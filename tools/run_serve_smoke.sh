@@ -16,7 +16,7 @@
 #      cache recorded hits, and repeated (app, scale) requests returned
 #      bit-identical digests.
 #   3. Validates the BENCH_serve.json document carries the serve.request_ms
-#      p50/p99 and a nonzero cache hit count.
+#      p50/p99, a nonzero cache hit count and a nonzero wall_ms.
 #   4. Format-checks the live telemetry endpoint with dmll-top --check
 #      --port (the serve counters flow through the same exposition).
 #   5. Sends the shutdown command and requires a clean daemon exit.
@@ -78,6 +78,10 @@ for KEY in p50_ms p99_ms cache_hits hit_rate rps; do
 done
 if grep -q '"cache_hits":0[,}]' "$TMP_DIR/BENCH_serve.json"; then
   echo "error: compiled-program cache recorded no hits" >&2
+  exit 1
+fi
+if grep -Eq '"wall_ms":0(\.0*)?[,}]' "$TMP_DIR/BENCH_serve.json"; then
+  echo "error: BENCH_serve.json reports wall_ms 0" >&2
   exit 1
 fi
 head -c 400 "$TMP_DIR/BENCH_serve.json"; echo
