@@ -261,6 +261,11 @@ struct CompiledCase {
   Target T;
 };
 
+// Printed by name, so ctest names each case after its target (.../gpu);
+// without a printer GTest dumps the struct's bytes, a pointer and padding
+// included, and the test names change from one build to the next.
+void PrintTo(const CompiledCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class CompiledAppTest : public ::testing::TestWithParam<CompiledCase> {};
 
 TEST_P(CompiledAppTest, KMeansShared) {
@@ -333,7 +338,4 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(CompiledCase{"sequential", Target::Sequential},
                       CompiledCase{"numa", Target::Numa},
                       CompiledCase{"cluster", Target::Cluster},
-                      CompiledCase{"gpu", Target::Gpu}),
-    [](const ::testing::TestParamInfo<CompiledCase> &Info) {
-      return Info.param.Name;
-    });
+                      CompiledCase{"gpu", Target::Gpu}));

@@ -51,6 +51,11 @@ struct AppCase {
   Program (*Build)();
 };
 
+// Printed by name, so ctest names each case after its app (.../gda); without
+// a printer GTest dumps the struct's bytes, pointers included, and the test
+// names change from one build to the next.
+void PrintTo(const AppCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class AppVerifyTest : public ::testing::TestWithParam<AppCase> {};
 
 TEST_P(AppVerifyTest, BuildsAndVerifies) {
@@ -75,7 +80,4 @@ INSTANTIATE_TEST_SUITE_P(
                       AppCase{"pageRankPush", apps::pageRankPush},
                       AppCase{"triangle", apps::triangleCount},
                       AppCase{"knn", apps::knn},
-                      AppCase{"naiveBayes", apps::naiveBayes}),
-    [](const ::testing::TestParamInfo<AppCase> &Info) {
-      return Info.param.Name;
-    });
+                      AppCase{"naiveBayes", apps::naiveBayes}));
