@@ -2,37 +2,15 @@
 
 #include "bench_json.h"
 
+#include "support/Json.h"
+
 #include <cstdio>
 #include <sstream>
 
+using namespace dmll;
 using namespace dmll::bench;
 
 namespace {
-
-/// JSON string escaping (bench names are ASCII, but stay correct anyway).
-std::string escape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      Out += C;
-    }
-  }
-  return Out;
-}
 
 std::string num(double V) {
   char Buf[64];
@@ -44,12 +22,12 @@ std::string num(double V) {
 
 std::string BenchJsonWriter::render() const {
   std::ostringstream OS;
-  OS << "{\n  \"benchmark\": \"" << escape(Name) << "\",\n  \"records\": [";
+  OS << "{\n  \"benchmark\": " << json::quote(Name) << ",\n  \"records\": [";
   for (size_t I = 0; I < Records.size(); ++I) {
     const BenchRecord &R = Records[I];
-    OS << (I ? "," : "") << "\n    {\"pattern\": \"" << escape(R.Pattern)
-       << "\", \"n\": " << R.N << ", \"threads\": " << R.Threads
-       << ", \"engine\": \"" << escape(R.Engine) << "\", \"ms\": " << num(R.Ms)
+    OS << (I ? "," : "") << "\n    {\"pattern\": " << json::quote(R.Pattern)
+       << ", \"n\": " << R.N << ", \"threads\": " << R.Threads
+       << ", \"engine\": " << json::quote(R.Engine) << ", \"ms\": " << num(R.Ms)
        << ", \"speedup\": " << num(R.Speedup) << "}";
   }
   OS << "\n  ]\n}\n";
@@ -63,11 +41,4 @@ bool BenchJsonWriter::write(const std::string &Path) const {
   std::string Doc = render();
   bool Ok = std::fwrite(Doc.data(), 1, Doc.size(), F) == Doc.size();
   return std::fclose(F) == 0 && Ok;
-}
-
-std::string dmll::bench::jsonOutArgPath(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::string(Argv[I]) == "--json-out")
-      return Argv[I + 1];
-  return "";
 }

@@ -65,9 +65,6 @@ private:
   std::vector<BenchRecord> Records;
 };
 
-/// Returns the value after `--json-out`, or "" when the flag is absent.
-std::string jsonOutArgPath(int Argc, char **Argv);
-
 } // namespace bench
 } // namespace dmll
 

@@ -24,6 +24,7 @@
 #include "observe/Trace.h"
 #include "runtime/DistArray.h"
 #include "runtime/ThreadPool.h"
+#include "support/Args.h"
 
 #include <benchmark/benchmark.h>
 
@@ -251,8 +252,8 @@ int runEngineSuite(const std::string &Path, const std::string &TracePath) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = bench::jsonOutArgPath(argc, argv);
-  std::string TracePath = traceArgPath(argc, argv);
+  std::string JsonPath = flagValue(argc, argv, "json-out");
+  std::string TracePath = flagValue(argc, argv, "trace-out");
   if (!JsonPath.empty() || !TracePath.empty())
     return runEngineSuite(JsonPath, TracePath);
   benchmark::Initialize(&argc, argv);

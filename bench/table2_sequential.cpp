@@ -9,7 +9,7 @@
 // Pass --trace-out trace.json to dump a Chrome-trace timeline of every
 // compile phase, rewrite application, analysis, and generated-code run
 // (open in chrome://tracing or https://ui.perfetto.dev; see
-// docs/OBSERVABILITY.md).
+// docs/TELEMETRY.md).
 //
 // Pass --inproc to additionally run each application's IR once through the
 // in-process executor (4 threads, Auto engine) before its generated-C++
@@ -44,6 +44,7 @@
 #include "observe/Trace.h"
 #include "refimpl/RefImpl.h"
 #include "runtime/Executor.h"
+#include "support/Args.h"
 #include "support/Table.h"
 #include "transform/Pipeline.h"
 #include "tune/Tuner.h"
@@ -145,7 +146,7 @@ void runCase(const std::string &Name, const Program &P, const InputMap &In,
 
 int main(int Argc, char **Argv) {
   auto WallT0 = std::chrono::steady_clock::now();
-  std::string TracePath = traceArgPath(Argc, Argv);
+  std::string TracePath = flagValue(Argc, Argv, "trace-out");
   TraceSession Session;
   TraceActivation Activation(Session);
   TelemetryScope Telemetry(telemetryCliArgs(Argc, Argv));
@@ -240,7 +241,7 @@ int main(int Argc, char **Argv) {
   // --json-out FILE: the same rows machine-readable; the hand-written C++
   // reference is the baseline (speedup 1.0), the generated-code row carries
   // cpp_ms / dmll_ms.
-  std::string JsonPath = bench::jsonOutArgPath(Argc, Argv);
+  std::string JsonPath = flagValue(Argc, Argv, "json-out");
   if (!JsonPath.empty()) {
     bench::BenchJsonWriter W("table2_sequential");
     for (const Row &R : Rows) {

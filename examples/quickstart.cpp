@@ -5,7 +5,7 @@
 //   2. compile it for a target (watch fusion fire);
 //   3. run it — sequentially, and with the parallel executor;
 //   4. observe it — rewrite provenance, per-worker metrics, per-loop counter
-//      profiles with the simulator calibration (docs/PROFILING.md), and
+//      profiles with the simulator calibration (docs/TELEMETRY.md), and
 //      optional Chrome-trace / profile-JSON dumps.
 //
 // Build and run:
@@ -38,6 +38,7 @@
 #include "observe/Trace.h"
 #include "runtime/Executor.h"
 #include "runtime/ProfileJson.h"
+#include "support/Args.h"
 #include "transform/Pipeline.h"
 #include "tune/Tuner.h"
 
@@ -49,8 +50,8 @@ using namespace dmll::frontend;
 int main(int Argc, char **Argv) {
   // Optional observability: with --trace-out, every compiler phase, rewrite
   // application, analysis, and executor chunk below records into Session.
-  std::string TracePath = traceArgPath(Argc, Argv);
-  std::string ProfilePath = profileArgPath(Argc, Argv);
+  std::string TracePath = flagValue(Argc, Argv, "trace-out");
+  std::string ProfilePath = flagValue(Argc, Argv, "profile-out");
   TraceSession Session;
   TraceActivation Activation(Session);
   // The always-on telemetry plane (docs/TELEMETRY.md): final/live Prometheus
@@ -112,14 +113,12 @@ int main(int Argc, char **Argv) {
       Exec.Limits.MaxMemoryBytes = std::atoll(Argv[I + 1]) * 1024 * 1024;
   }
   tune::DecisionTable Decisions;
-  std::string TuneOut = tune::tuneArgPath(Argc, Argv, "tune-out");
-  std::string TuneIn = tune::tuneArgPath(Argc, Argv, "tune-in");
+  std::string TuneOut = flagValue(Argc, Argv, "tune-out");
+  std::string TuneIn = flagValue(Argc, Argv, "tune-in");
   if (!TuneOut.empty()) {
     tune::TuneOptions TO;
     TO.Compile = Opts;
-    TO.Threads = Exec.Threads;
-    TO.Mode = Mode;
-    TO.MinChunk = Exec.MinChunk;
+    TO.Exec = Exec;
     tune::TuningProfile TP = tune::tuneProgram("quickstart", P, Inputs, TO);
     if (tune::writeTuningProfile(TuneOut, TP))
       std::printf("wrote tuning artifact to %s (%zu tuned loop(s), "
@@ -169,7 +168,7 @@ int main(int Argc, char **Argv) {
   }
 
   // Per-loop measurements and the simulator's replayed prediction: the
-  // ratio column is the calibration signal (docs/PROFILING.md).
+  // ratio column is the calibration signal (docs/TELEMETRY.md).
   std::printf("\ncounters: %s\n", counterSourceName().c_str());
   for (const LoopCalibration &L : R.Calibration.Loops)
     std::printf("  loop %-24s %-6s iters %-6lld measured %8.3f ms  "

@@ -9,7 +9,6 @@
 #include "ir/Traversal.h"
 #include "observe/Events.h"
 #include "observe/MetricsRegistry.h"
-#include "observe/Prof.h"
 #include "observe/Sampler.h"
 #include "observe/Trace.h"
 #include "runtime/ThreadPool.h"
@@ -17,7 +16,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -88,10 +86,10 @@ private:
   /// Shared by pointer with chunk sub-evaluators so every worker observes
   /// the same cancel token and charges the same budgets.
   RunControl *Control = nullptr;
-  /// Compiled kernels (or recorded compile failures) per multiloop node.
-  struct KernelEntry {
-    std::shared_ptr<const engine::Kernel> K; ///< null: compile failed
-    size_t TimingIdx = 0;                    ///< index into KStats->Kernels
+  /// Compiled kernels (or recorded compile failures, with the reason) per
+  /// multiloop node.
+  struct KernelEntry : KernelReuseCache::Entry {
+    size_t TimingIdx = 0; ///< index into KStats->Kernels
   };
   /// The kernel cache plus the lock guarding it and KStats. Shared with
   /// the chunk-worker sub-evaluators so a nested closed loop resolves to
@@ -418,82 +416,65 @@ private:
     auto It = Kernels->Compiled.find(E.get());
     if (It != Kernels->Compiled.end())
       return It->second;
+    KernelEntry Entry;
     // Cross-run cache (service/Serve.h): a previous run of this Program
     // already compiled (or rejected) this exact node — adopt the outcome
     // without re-lowering, registering this run's stats rows as usual.
-    std::shared_ptr<const engine::Kernel> Cached;
-    if (Reuse && Reuse->lookup(E.get(), Cached)) {
+    if (Reuse && Reuse->lookup(E.get(), Entry)) {
       MetricsRegistry::global().counter("engine.kernel_cache_hits").inc();
-      KernelEntry Entry;
-      if (Cached) {
-        Entry.K = std::move(Cached);
-        if (KStats) {
-          Entry.TimingIdx = KStats->Kernels.size();
-          engine::KernelTiming T;
-          T.Loop = Entry.K->Signature;
-          KStats->Kernels.push_back(std::move(T));
-        }
-      } else if (KStats) {
-        ++KStats->FallbackLoops;
-        KStats->Fallbacks.push_back(loopSignature(E) + ": cached fallback");
+    } else {
+      auto T0 = std::chrono::steady_clock::now();
+      engine::CompileOutcome Outcome;
+      {
+        TraceSpan Span("engine.compile", "compile");
+        if (Span.live())
+          Span.arg("loop", loopSignature(E));
+        Outcome = engine::compileKernel(E);
+        if (Span.live() && !Outcome.K)
+          Span.arg("fallback", Outcome.Reason);
       }
-      return Kernels->Compiled.emplace(E.get(), std::move(Entry))
-          .first->second;
-    }
-    auto T0 = std::chrono::steady_clock::now();
-    engine::CompileOutcome Outcome;
-    {
-      TraceSpan Span("engine.compile", "compile");
-      if (Span.live())
-        Span.arg("loop", loopSignature(E));
-      Outcome = engine::compileKernel(E);
-      if (Span.live() && !Outcome.K)
-        Span.arg("fallback", Outcome.Reason);
-    }
-    double Ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - T0)
-                    .count();
-    // Registry: compile latency distribution plus outcome tallies, fed
-    // regardless of whether the caller asked for KernelStats.
-    MetricsRegistry &R = MetricsRegistry::global();
-    R.histogram("engine.compile_ms").observe(Ms);
-    R.counter(Outcome.K ? "engine.compiled" : "engine.fallback_loops").inc();
-    if (!Outcome.K)
-      if (EventLog *EL = EventLog::active())
-        EL->emit(EventKind::EngineFallback, loopSignature(E),
-                 {EventLog::str("reason", Outcome.Reason)});
-    KernelEntry Entry;
-    if (Outcome.K) {
-      Entry.K = std::move(Outcome.K);
+      double Ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - T0)
+                      .count();
+      // Registry: compile latency distribution plus outcome tallies, fed
+      // regardless of whether the caller asked for KernelStats.
+      MetricsRegistry &R = MetricsRegistry::global();
+      R.histogram("engine.compile_ms").observe(Ms);
+      R.counter(Outcome.K ? "engine.compiled" : "engine.fallback_loops").inc();
+      if (!Outcome.K)
+        if (EventLog *EL = EventLog::active())
+          EL->emit(EventKind::EngineFallback,
+                   EventLog::str("loop", loopSignature(E)) +
+                       EventLog::str("reason", Outcome.Reason));
       if (KStats) {
-        ++KStats->Compiled;
-        Entry.TimingIdx = KStats->Kernels.size();
-        engine::KernelTiming T;
-        T.Loop = Entry.K->Signature;
-        KStats->Kernels.push_back(std::move(T));
+        KStats->Compiled += Outcome.K != nullptr;
+        KStats->CompileMillis += Ms;
       }
+      Entry.K = std::move(Outcome.K);
+      Entry.Reason = std::move(Outcome.Reason);
+      if (Reuse)
+        Reuse->store(E.get(), Entry);
+    }
+    if (KStats && Entry.K) {
+      Entry.TimingIdx = KStats->Kernels.size();
+      engine::KernelTiming T;
+      T.Loop = Entry.K->Signature;
+      KStats->Kernels.push_back(std::move(T));
     } else if (KStats) {
       ++KStats->FallbackLoops;
-      KStats->Fallbacks.push_back(loopSignature(E) + ": " + Outcome.Reason);
+      KStats->Fallbacks.push_back(loopSignature(E) + ": " + Entry.Reason);
     }
-    if (KStats)
-      KStats->CompileMillis += Ms;
-    if (Reuse)
-      Reuse->store(E.get(), Entry.K);
     return Kernels->Compiled.emplace(E.get(), std::move(Entry)).first->second;
   }
 
-  /// Attempts kernel execution of closed multiloop \p E. Returns false (and
-  /// counts a fallback run) when the loop didn't lower or launch binding
-  /// rejected it; the caller then takes the interpreter path. On success,
-  /// \p OtherWorkers accumulates chunk counters from non-driver workers and
-  /// \p WasParallel reports whether the launch took the chunked path.
-  /// \p EffThreads / \p EffChunk / \p EffWide are the loop's effective
-  /// knobs after any per-loop tuning decision was applied.
-  bool tryKernel(const ExprRef &E, int64_t N, Scope &S, Value &Out,
-                 CounterSample *OtherWorkers, bool *WasParallel,
-                 unsigned EffThreads, int64_t EffChunk, bool EffWide,
-                 const char *SampleSig) {
+  /// Attempts kernel execution of closed multiloop \p E with \p Rec's
+  /// knobs. On success sets Rec.Engine and Rec.Parallel; returns false with
+  /// Rec.Fallback set (counting a fallback run) when the loop didn't lower
+  /// or launch binding rejected it, and the caller takes the interpreter
+  /// path. With \p Measure, chunk counters of workers other than the driver
+  /// accumulate into Rec.Counters.
+  bool tryKernel(const ExprRef &E, Scope &S, Value &Out, LoopProfile &Rec,
+                 bool Measure, const char *SampleName) {
     std::shared_ptr<const engine::Kernel> K;
     size_t TimingIdx = 0;
     {
@@ -501,117 +482,167 @@ private:
       KernelEntry &Entry = kernelFor(E);
       K = Entry.K;
       TimingIdx = Entry.TimingIdx;
+      if (!K)
+        Rec.Fallback = Entry.Reason;
     }
-    if (!K) {
+    auto Fallback = [&] {
       if (KStats) {
         std::lock_guard<std::mutex> Lock(Kernels->M);
         ++KStats->FallbackRuns;
       }
       return false;
-    }
+    };
+    if (!K)
+      return Fallback();
     engine::LaunchContext Ctx;
     Ctx.EvalInvariant = [this, &S](const ExprRef &Inv) {
       return eval(Inv, S);
     };
     Ctx.Pool = Pool;
-    Ctx.Threads = EffThreads;
-    Ctx.MinChunk = EffChunk;
-    Ctx.EnableWide = EffWide;
+    Ctx.Threads = Rec.Threads;
+    Ctx.MinChunk = Rec.MinChunk;
+    Ctx.EnableWide = Rec.Wide;
     Ctx.Profile = Profile;
     Ctx.Columns = &Columns;
     Ctx.Control = Control;
-    bool Parallel = false;
-    Ctx.WasParallel = &Parallel;
-    Ctx.LoopCounters = OtherWorkers;
-    Ctx.SampleLoop = SampleSig;
+    Ctx.WasParallel = &Rec.Parallel;
+    Ctx.LoopCounters = Measure ? &Rec.Counters : nullptr;
+    Ctx.SampleLoop = SampleName;
     auto T0 = std::chrono::steady_clock::now();
-    if (!engine::runKernel(*K, N, Ctx, Out)) {
-      if (KStats) {
-        std::lock_guard<std::mutex> Lock(Kernels->M);
-        ++KStats->FallbackRuns;
-      }
-      return false;
+    if (!engine::runKernel(*K, Rec.Iters, Ctx, Out)) {
+      Rec.Fallback = "launch-time binding rejected the inputs";
+      return Fallback();
     }
-    if (WasParallel)
-      *WasParallel = Parallel;
+    Rec.Engine = "kernel";
     if (KStats) {
       std::lock_guard<std::mutex> Lock(Kernels->M);
       ++KStats->Launches;
       engine::KernelTiming &T = KStats->Kernels[TimingIdx];
       ++T.Launches;
-      T.Iters += N;
+      T.Iters += Rec.Iters;
       T.Millis += std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - T0)
                       .count();
-      T.Parallel |= Parallel;
+      T.Parallel |= Rec.Parallel;
     }
     return true;
   }
 
-  Value evalMultiloop(const ExprRef &E, const MultiloopExpr *ML, Scope &S) {
+  /// The loop's value from its final generator states.
+  Value finish(const MultiloopExpr *ML, std::vector<GenState> &States) {
+    if (ML->isSingle())
+      return finishGen(ML, States, 0);
+    std::vector<Value> Outs;
+    for (size_t G = 0; G < ML->numGens(); ++G)
+      Outs.push_back(finishGen(ML, States, G));
+    return Value::makeStruct(std::move(Outs));
+  }
+
+  /// Runs closed multiloop \p ML on the interpreter with \p Rec's knobs:
+  /// chunked over the pool when the loop has the threads and the range for
+  /// it, sequentially otherwise.
+  Value interpLoop(const MultiloopExpr *ML, Scope &S, LoopProfile &Rec,
+                   const char *SampleName) {
+    const int64_t N = Rec.Iters;
+    std::vector<GenState> States = initStates(ML, S);
+    if (Rec.Threads <= 1 || N < 2 * Rec.MinChunk) {
+      if (Profile)
+        ++Profile->SequentialLoops;
+      runRange(ML, 0, N, States, S);
+      return finish(ML, States);
+    }
+    // Chunked parallel execution (Section 5): workers evaluate disjoint
+    // subranges with independent evaluators; chunk states merge in index
+    // order, so element order and first-occurrence key order match the
+    // sequential semantics.
+    Rec.Parallel = true;
+    Rec.Chunks = std::min<int64_t>((N + Rec.MinChunk - 1) / Rec.MinChunk,
+                                   static_cast<int64_t>(Rec.Threads) * 4);
+    int64_t Per = (N + Rec.Chunks - 1) / Rec.Chunks;
+    std::vector<std::vector<GenState>> ChunkStates(
+        static_cast<size_t>(Rec.Chunks));
+    // Threads > 1 implies the persistent pool exists (evalProgramRecover
+    // creates one per program run; workers are reused across loops).
+    ParallelForStats PStats;
+    Pool->parallelFor(
+        Rec.Chunks, 1,
+        [&](int64_t CB, int64_t CE, unsigned) {
+          // Pool workers start with a fresh slot, so they publish the
+          // loop themselves (the driver's scope isn't inherited).
+          SampleScope ChunkSample("exec.chunk", SampleName);
+          for (int64_t C = CB; C < CE; ++C) {
+            Evaluator Sub(Inputs);
+            // Nested loops inside a chunk must pick their engine the
+            // same way the sequential path would: same mode, same
+            // kernel cache (so compile outcomes record once), same
+            // stats sink. Only the parallelism stays chunk-local.
+            Sub.Mode = Mode;
+            Sub.KStats = KStats;
+            Sub.Kernels = Kernels;
+            Sub.Reuse = Reuse;
+            Sub.Tuning = Tuning;
+            Sub.Control = Control;
+            Scope Local;
+            ChunkStates[static_cast<size_t>(C)] = Sub.initStates(ML, Local);
+            Sub.runRange(ML, C * Per, std::min((C + 1) * Per, N),
+                         ChunkStates[static_cast<size_t>(C)], Local);
+          }
+        },
+        Profile ? &PStats : nullptr, "exec.chunk",
+        Control ? &Control->token() : nullptr);
+    if (Profile) {
+      Profile->accumulate(PStats);
+      ++Profile->ParallelLoops;
+      // The driver's own chunks are inside the observation's bracket.
+      for (size_t W = 1; W < PStats.Workers.size(); ++W)
+        if (PStats.Workers[W].Chunks > 0)
+          Rec.Counters.add(PStats.Workers[W].Counters);
+    }
+    {
+      TraceSpan MergeSpan("exec.merge", "exec");
+      States = std::move(ChunkStates[0]);
+      for (size_t C = 1; C < ChunkStates.size(); ++C)
+        mergeStates(ML, States, ChunkStates[C], S);
+    }
+    return finish(ML, States);
+  }
+
+  // Kept out of line: inlined into the recursive eval(), the loop record
+  // and its observation would enlarge the frame of every eval() call.
+  [[gnu::noinline]] Value evalMultiloop(const ExprRef &E,
+                                        const MultiloopExpr *ML, Scope &S) {
     int64_t N = eval(ML->size(), S).toInt();
     if (N < 0)
       trap("negative multiloop size " + std::to_string(N));
-
-    bool Closed = freeOf(E).empty();
-    // Closed loops are the unit the telemetry plane attributes to: compute
-    // the signature once and share it between tuning lookup, trace span,
-    // events, per-loop metric labels, the loop profile, and the sampler
-    // (which needs a process-lifetime interned pointer another thread can
-    // read at any time).
-    const std::string Sig = Closed ? loopSignature(E) : std::string();
-    const char *SampleSig =
-        (Closed && SamplingProfiler::active()) ? internSampleName(Sig)
-                                               : nullptr;
-    // Open loops run per-element inside an enclosing closed loop; they keep
-    // its attribution rather than paying per-element publication stores.
-    std::optional<SampleScope> LoopSample;
-    if (Closed)
-      LoopSample.emplace("exec.loop", SampleSig);
-    // Per-loop tuning decision, if a table is loaded and names this loop.
-    // Effective knobs default to the run's globals; a decision narrows or
-    // pins them for this loop only. Open loops always inherit (they run
-    // inside an enclosing loop's iteration and are not tuned separately).
-    const tune::LoopDecision *TD = (Tuning && Closed) ? Tuning->lookup(Sig)
-                                                      : nullptr;
-    unsigned EffThreads = Threads;
-    int64_t EffChunk = MinChunk;
-    bool EffWide = WideKernels;
+    // Open loops run per-element inside an enclosing closed loop: they keep
+    // its knobs and its attribution, and always run sequentially here.
+    if (!freeOf(E).empty()) {
+      std::vector<GenState> States = initStates(ML, S);
+      runRange(ML, 0, N, States, S);
+      return finish(ML, States);
+    }
+    // A closed loop is the unit of execution, tuning and report: one record
+    // carries its signature, knobs, engine and timing to every sink.
+    LoopProfile Rec;
+    Rec.Loop = loopSignature(E);
+    Rec.Iters = N;
+    Rec.Threads = Threads;
+    Rec.MinChunk = MinChunk;
+    Rec.Wide = WideKernels;
+    // A per-loop tuning decision narrows or pins the run's knobs for this
+    // loop only.
+    const tune::LoopDecision *TD = Tuning ? Tuning->lookup(Rec.Loop) : nullptr;
     if (TD) {
+      Rec.Tuned = true;
       if (TD->Threads)
-        EffThreads = std::min(Threads, TD->Threads);
+        Rec.Threads = std::min(Threads, TD->Threads);
       if (TD->MinChunk > 0)
-        EffChunk = TD->MinChunk;
+        Rec.MinChunk = TD->MinChunk;
       if (TD->Wide >= 0)
-        EffWide = TD->Wide != 0;
-      MetricsRegistry::global().counter("tune.decisions_applied").inc();
-      if (EventLog *EL = EventLog::active())
-        EL->emit(EventKind::TuneDecision, Sig,
-                 {EventLog::num("threads", EffThreads),
-                  EventLog::num("min_chunk", static_cast<double>(EffChunk)),
-                  EventLog::num("wide", EffWide ? 1 : 0)});
+        Rec.Wide = TD->Wide != 0;
     }
-    // Every closed loop gets one "exec.loop" span, whichever engine runs
-    // it; the engine name and measured counter deltas land as span args.
-    TraceSpan LoopSpan(Closed ? TraceSession::active() : nullptr, "exec.loop",
-                       "exec");
-    if (LoopSpan.live()) {
-      LoopSpan.arg("loop", Sig);
-      LoopSpan.argInt("iters", N);
-    }
-    EventLog *Events = Closed ? EventLog::active() : nullptr;
-    if (Events)
-      Events->emit(EventKind::LoopBegin, Sig,
-                   {EventLog::num("iters", static_cast<double>(N))});
-    const bool Measure = Profile && Closed;
-    CounterSample Before = Measure ? ThreadCounters::now() : CounterSample{};
-    auto T0 = std::chrono::steady_clock::now();
-    // Chunk counters from workers other than the driver; the driver's own
-    // chunks are already inside the Before/After bracket.
-    CounterSample OtherWorkers;
-    bool Parallel = false;
-    const char *Engine = "interp";
-
+    const bool Measure = Profile != nullptr;
+    LoopObservation Obs(Rec, Measure);
     // Engine choice: a pinned per-loop decision replaces the global mode
     // outright (Kernel attempts compilation even under EngineMode::Interp;
     // Interp suppresses it even under EngineMode::Kernel). Default keeps
@@ -623,146 +654,12 @@ private:
       WantKernel = Mode != engine::EngineMode::Interp &&
                    (Mode == engine::EngineMode::Kernel ||
                     N >= engine::AutoMinIters);
-
     Value Result;
-    bool Done = false;
-    if (WantKernel && Closed) {
-      if (tryKernel(E, N, S, Result, Measure ? &OtherWorkers : nullptr,
-                    &Parallel, EffThreads, EffChunk, EffWide, SampleSig)) {
-        Engine = "kernel";
-        Done = true;
-      }
-    }
-
-    if (!Done) {
-      std::vector<GenState> States = initStates(ML, S);
-
-      if (EffThreads > 1 && Closed && N >= 2 * EffChunk) {
-        // Chunked parallel execution (Section 5): workers evaluate disjoint
-        // subranges with independent evaluators; chunk states merge in index
-        // order, so element order and first-occurrence key order match the
-        // sequential semantics.
-        Parallel = true;
-        int64_t NumChunks =
-            std::min<int64_t>((N + EffChunk - 1) / EffChunk,
-                              static_cast<int64_t>(EffThreads) * 4);
-        int64_t Per = (N + NumChunks - 1) / NumChunks;
-        std::vector<std::vector<GenState>> ChunkStates(
-            static_cast<size_t>(NumChunks));
-        // Threads > 1 implies the persistent pool exists (evalProgramRecover
-        // creates one per program run; workers are reused across loops).
-        ParallelForStats PStats;
-        Pool->parallelFor(
-            NumChunks, 1,
-            [&](int64_t CB, int64_t CE, unsigned) {
-              // Pool workers start with a fresh slot, so they publish the
-              // loop themselves (the driver's scope isn't inherited).
-              SampleScope ChunkSample("exec.chunk", SampleSig);
-              for (int64_t C = CB; C < CE; ++C) {
-                Evaluator Sub(Inputs);
-                // Nested loops inside a chunk must pick their engine the
-                // same way the sequential path would: same mode, same
-                // kernel cache (so compile outcomes record once), same
-                // stats sink. Only the parallelism stays chunk-local.
-                Sub.Mode = Mode;
-                Sub.KStats = KStats;
-                Sub.Kernels = Kernels;
-                Sub.Reuse = Reuse;
-                Sub.Tuning = Tuning;
-                Sub.Control = Control;
-                Scope Local;
-                ChunkStates[static_cast<size_t>(C)] = Sub.initStates(ML, Local);
-                Sub.runRange(ML, C * Per, std::min((C + 1) * Per, N),
-                             ChunkStates[static_cast<size_t>(C)], Local);
-              }
-            },
-            Profile ? &PStats : nullptr, "exec.chunk",
-            Control ? &Control->token() : nullptr);
-        if (Profile) {
-          Profile->accumulate(PStats);
-          ++Profile->ParallelLoops;
-          for (size_t W = 1; W < PStats.Workers.size(); ++W)
-            if (PStats.Workers[W].Chunks > 0)
-              OtherWorkers.add(PStats.Workers[W].Counters);
-        }
-        if (LoopSpan.live())
-          LoopSpan.argInt("chunks", NumChunks);
-        {
-          TraceSpan MergeSpan("exec.merge", "exec");
-          States = std::move(ChunkStates[0]);
-          for (size_t C = 1; C < ChunkStates.size(); ++C)
-            mergeStates(ML, States, ChunkStates[C], S);
-        }
-      } else {
-        if (Profile && Closed)
-          ++Profile->SequentialLoops;
-        runRange(ML, 0, N, States, S);
-      }
-
-      if (ML->isSingle()) {
-        Result = finishGen(ML, States, 0);
-      } else {
-        std::vector<Value> Outs;
-        for (size_t G = 0; G < ML->numGens(); ++G)
-          Outs.push_back(finishGen(ML, States, G));
-        Result = Value::makeStruct(std::move(Outs));
-      }
-    }
-
-    if (LoopSpan.live())
-      LoopSpan.arg("engine", Engine);
-    if (Closed) {
-      // Always-on per-loop series: one labeled histogram family keyed by
-      // (loop, engine) plus a per-loop threads gauge. Loop signatures have
-      // bounded cardinality (they name IR shapes, not data), so the label
-      // space stays small; this is what dmll-top and the exposition show
-      // live, whether or not profiling was requested.
-      double WallMs = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - T0)
-                          .count();
-      MetricsRegistry &R = MetricsRegistry::global();
-      R.histogram("exec.loop_ms|loop=" + Sig + "|engine=" + Engine)
-          .observe(WallMs);
-      R.gauge("exec.loop_threads|loop=" + Sig)
-          .set(Parallel ? EffThreads : 1);
-      if (Events)
-        Events->emit(EventKind::LoopEnd, Sig,
-                     {EventLog::str("engine", Engine),
-                      EventLog::num("millis", WallMs),
-                      EventLog::num("parallel", Parallel ? 1 : 0)});
-    }
-    if (Measure) {
-      LoopProfile LP;
-      LP.Loop = Sig;
-      LP.Engine = Engine;
-      LP.Iters = N;
-      LP.Millis = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - T0)
-                      .count();
-      LP.Parallel = Parallel;
-      LP.Threads = EffThreads;
-      LP.MinChunk = EffChunk;
-      LP.Wide = EffWide;
-      LP.Tuned = TD != nullptr;
-      LP.Counters = ThreadCounters::now() - Before;
-      LP.Counters.add(OtherWorkers);
-      if (LoopSpan.live()) {
-        if (LP.Counters.Hw) {
-          LoopSpan.argInt("cycles", LP.Counters.Cycles);
-          LoopSpan.argInt("instructions", LP.Counters.Instructions);
-          LoopSpan.argInt("llc_misses", LP.Counters.LlcMisses);
-          LoopSpan.argInt("branch_misses", LP.Counters.BranchMisses);
-        } else {
-          char Buf[32];
-          std::snprintf(Buf, sizeof(Buf), "%.3f", LP.Counters.UserMs);
-          LoopSpan.arg("user_ms", Buf);
-          std::snprintf(Buf, sizeof(Buf), "%.3f", LP.Counters.SysMs);
-          LoopSpan.arg("sys_ms", Buf);
-        }
-      }
-      MetricsRegistry::global().counter("exec.loops").inc();
-      Profile->Loops.push_back(std::move(LP));
-    }
+    if (!WantKernel || !tryKernel(E, S, Result, Rec, Measure, Obs.sampleName()))
+      Result = interpLoop(ML, S, Rec, Obs.sampleName());
+    Obs.close();
+    if (Profile)
+      Profile->Loops.push_back(std::move(Rec));
     return Result;
   }
 
@@ -985,20 +882,18 @@ private:
 
 } // namespace
 
-bool KernelReuseCache::lookup(
-    const Expr *E, std::shared_ptr<const engine::Kernel> &K) const {
+bool KernelReuseCache::lookup(const Expr *E, Entry &Out) const {
   std::lock_guard<std::mutex> L(Mu);
   auto It = Map.find(E);
   if (It == Map.end())
     return false;
-  K = It->second;
+  Out = It->second;
   return true;
 }
 
-void KernelReuseCache::store(const Expr *E,
-                             std::shared_ptr<const engine::Kernel> K) {
+void KernelReuseCache::store(const Expr *E, Entry Outcome) {
   std::lock_guard<std::mutex> L(Mu);
-  Map.emplace(E, std::move(K));
+  Map.emplace(E, std::move(Outcome));
 }
 
 size_t KernelReuseCache::size() const {

@@ -51,22 +51,27 @@ using InputMap = std::unordered_map<std::string, Value>;
 /// (same ExprRef graph — the pointers are the keys), which is what lets a
 /// long-lived service (service/Serve.h) pay kernel compilation once per
 /// cached program instead of once per request. Known compile failures are
-/// cached too (a stored null kernel), so a rejected loop is not re-lowered
-/// on every request either. Thread-safe; entries live as long as the cache,
-/// so the owner must keep the Program (and its Exprs) alive alongside it.
+/// cached too (a null kernel with the compiler's reason), so a rejected
+/// loop is not re-lowered on every request either, and every later run
+/// still reports why it fell back. Thread-safe; entries live as long as the
+/// cache, so the owner must keep the Program (and its Exprs) alive
+/// alongside it.
 class KernelReuseCache {
 public:
-  /// True when \p E has a recorded outcome; \p K receives the kernel (null
-  /// for a recorded compile failure).
-  bool lookup(const Expr *E, std::shared_ptr<const engine::Kernel> &K) const;
+  /// One compile outcome: the kernel, or null plus the rejection reason.
+  struct Entry {
+    std::shared_ptr<const engine::Kernel> K;
+    std::string Reason;
+  };
+  /// True when \p E has a recorded outcome, copied into \p Out.
+  bool lookup(const Expr *E, Entry &Out) const;
   /// Records the compile outcome for \p E (first store wins).
-  void store(const Expr *E, std::shared_ptr<const engine::Kernel> K);
+  void store(const Expr *E, Entry Outcome);
   size_t size() const;
 
 private:
   mutable std::mutex Mu;
-  std::unordered_map<const Expr *, std::shared_ptr<const engine::Kernel>>
-      Map;
+  std::unordered_map<const Expr *, Entry> Map;
 };
 
 /// The run knobs, declared once for every entry point that executes a
@@ -146,10 +151,12 @@ Value evalProgram(const Program &P, const InputMap &Inputs);
 /// fall back transparently to the interpreter, with per-loop reasons in
 /// \p Opts.Kernels. Kernel results are bit-identical to the interpreter at
 /// equal Threads/MinChunk, including parallel float reassociation. One
-/// persistent work-stealing ThreadPool serves every loop of the run; with
-/// \p Opts.Profile set it accumulates per-worker executor metrics, and
-/// under an active TraceSession (observe/Trace.h) each parallel loop
-/// records an "exec.loop" span and each chunk an "exec.chunk" span.
+/// persistent work-stealing ThreadPool serves every loop of the run. Every
+/// closed multiloop execution builds one LoopProfile record and reports it
+/// through one LoopObservation (observe/Metrics.h): the sampler, the
+/// "exec.loop" span, loop.begin/loop.end events and the per-loop metrics.
+/// With \p Opts.Profile set the run also measures counters per loop and
+/// keeps the records and per-worker executor metrics.
 ///
 /// Traps, deadline expiry, and budget overruns come back as a structured
 /// ExecResult. The process — and the ThreadPool, when \p Opts.Pool names a

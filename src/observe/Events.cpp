@@ -31,8 +31,6 @@ const char *dmll::eventKindName(EventKind K) {
     return "loop.end";
   case EventKind::EngineFallback:
     return "engine.fallback";
-  case EventKind::TuneDecision:
-    return "tune.decision";
   case EventKind::MetricsSnapshot:
     return "metrics.snapshot";
   case EventKind::Trap:
@@ -45,53 +43,20 @@ namespace {
 
 std::atomic<EventLog *> ActiveLog{nullptr};
 
-void appendEscaped(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
 void trapHook(const std::string &Msg) {
   if (EventLog *L = EventLog::active()) {
-    L->emit(EventKind::Trap, {}, {EventLog::str("message", Msg)});
+    L->emit(EventKind::Trap, EventLog::str("message", Msg));
     L->flush();
   }
 }
 
 } // namespace
 
-EventLog::EventLog(const std::string &Path) : LogPath(Path) {
+EventLog::EventLog(const std::string &Path) {
   F = std::fopen(Path.c_str(), "w");
   Epoch = std::chrono::steady_clock::now();
   if (F)
-    emit(EventKind::LogOpen, {},
-         {str("schema", "dmll-events-v1")});
+    emit(EventKind::LogOpen, str("schema", "dmll-events-v1"));
 }
 
 EventLog::~EventLog() {
@@ -99,33 +64,20 @@ EventLog::~EventLog() {
     std::fclose(F);
 }
 
-int64_t EventLog::size() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Count;
+std::string EventLog::num(const std::string &Key, double V) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), ":%.6g", V);
+  return "," + json::quote(Key) + Buf;
 }
 
-EventArg EventLog::num(std::string Key, double V) {
-  EventArg A;
-  A.Key = std::move(Key);
-  A.Num = V;
-  A.IsNum = true;
-  return A;
+std::string EventLog::str(const std::string &Key, const std::string &V) {
+  return "," + json::quote(Key) + ":" + json::quote(V);
 }
 
-EventArg EventLog::str(std::string Key, std::string V) {
-  EventArg A;
-  A.Key = std::move(Key);
-  A.Str = std::move(V);
-  return A;
-}
-
-void EventLog::emit(EventKind K, const std::string &Loop,
-                    const std::vector<EventArg> &Args) {
+void EventLog::emit(EventKind K, const std::string &Fields) {
   if (!F)
     return;
   int Tid = telemetryThreadId();
-  std::string Line;
-  Line.reserve(96);
   std::lock_guard<std::mutex> L(Mu);
   // Timestamp under the lock, so line order and ts_ms order agree — the
   // validator checks global monotonicity.
@@ -135,27 +87,12 @@ void EventLog::emit(EventKind K, const std::string &Loop,
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), "{\"ts_ms\":%.3f,\"tid\":%d,\"type\":", Ts,
                 Tid);
-  Line += Buf;
-  appendEscaped(Line, eventKindName(K));
-  if (!Loop.empty()) {
-    Line += ",\"loop\":";
-    appendEscaped(Line, Loop);
-  }
-  for (const EventArg &A : Args) {
-    Line += ",";
-    appendEscaped(Line, A.Key);
-    Line += ":";
-    if (A.IsNum) {
-      std::snprintf(Buf, sizeof(Buf), "%.6g", A.Num);
-      Line += Buf;
-    } else {
-      appendEscaped(Line, A.Str);
-    }
-  }
+  std::string Line = Buf;
+  Line += json::quote(eventKindName(K));
+  Line += Fields;
   Line += "}\n";
   std::fwrite(Line.data(), 1, Line.size(), F);
   std::fflush(F);
-  ++Count;
 }
 
 void EventLog::flush() {

@@ -5,30 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The structured runtime event log (`dmll-events-v1`): an append-only JSONL
-/// stream of execution milestones — run start/stop, closed-loop begin/end
-/// with signature, engine fallbacks, tuner decisions applied, metrics
-/// snapshots, and traps — each stamped with a monotonic timestamp and a
-/// small per-thread id. Unlike the Chrome trace (observe/Trace.h), which is
-/// buffered in memory and exported after the run, the event log is written
-/// as execution happens, so a tail/service-side consumer sees milestones
-/// live and a trap still leaves every event up to the abort on disk.
-///
-/// One line per event: `{"ts_ms":..,"tid":..,"type":"..",...}`. The first
-/// line is always a `log.open` record carrying `"schema":"dmll-events-v1"`.
-/// Timestamps are milliseconds since the log was opened (steady clock), and
-/// writes are serialized, so `ts_ms` is globally non-decreasing — a property
-/// validateEventLog() checks along with schema conformance (see
-/// docs/TELEMETRY.md for the full schema).
+/// The structured runtime event log (`dmll-events-v1`, docs/TELEMETRY.md):
+/// an append-only JSONL stream of execution milestones — run start/stop,
+/// closed-loop begin/end, engine fallbacks, metrics snapshots, traps — one
+/// `{"ts_ms":..,"tid":..,"type":"..",...}` object per line after a
+/// `log.open` header, written and flushed as execution happens, so a
+/// tailing consumer sees milestones live and a crash leaves everything up
+/// to it on disk. Writes are serialized, so `ts_ms` is globally
+/// non-decreasing.
 ///
 /// Like TraceSession, an EventLog becomes the process-wide sink through an
-/// RAII EventLogActivation; emission sites test EventLog::active() and stay
-/// branch-cheap when no log is active. Activation also hooks the fatal
-/// error path, so every trap emits a `trap` event and flushes at the trap
-/// site. Recoverable traps (support/Error.h TrapError) then *continue* the
-/// stream — the executor closes the bracket with a `run.stop` carrying a
-/// non-ok status and later runs keep appending; only aborting fatalError
-/// invariants end the log at the trap line.
+/// RAII EventLogActivation, which also hooks fatalError so every trap emits
+/// a `trap` event and flushes. A recoverable trap continues the stream: the
+/// executor closes the bracket with a non-ok `run.stop`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,23 +45,13 @@ enum class EventKind {
   RunStart,       ///< executeProgram began an evaluation
   RunStop,        ///< executeProgram finished (args: millis)
   LoopBegin,      ///< a closed multiloop started (args: iters)
-  LoopEnd,        ///< it finished (args: engine, millis, parallel)
+  LoopEnd,        ///< it finished (args: the loop record's fields)
   EngineFallback, ///< kernel compilation rejected a loop (args: reason)
-  TuneDecision,   ///< a per-loop tuning decision was applied
   MetricsSnapshot,///< snapshotter delta record (args: changed counters)
   Trap,           ///< fatalError fired (args: message); log flushes first
 };
 
 const char *eventKindName(EventKind K);
-
-/// One extra key/value on an event line; numbers are emitted as JSON
-/// numbers, strings as escaped JSON strings.
-struct EventArg {
-  std::string Key;
-  std::string Str;
-  double Num = 0;
-  bool IsNum = false;
-};
 
 /// An open dmll-events-v1 log file. Thread-safe; every emit appends one
 /// line and flushes (events are per-loop-coarse, not per-element, so the
@@ -84,29 +63,24 @@ public:
   ~EventLog();
 
   bool ok() const { return F != nullptr; }
-  const std::string &path() const { return LogPath; }
-  /// Events written so far, header included.
-  int64_t size() const;
 
-  /// Appends one event line. \p Loop is the loop signature ("" omits the
-  /// field); \p Args are extra key/values.
-  void emit(EventKind K, const std::string &Loop = {},
-            const std::vector<EventArg> &Args = {});
+  /// Appends one event line: ts_ms, tid and type, then \p Fields — JSON
+  /// members each preceded by a comma, as num()/str() and appendLoopFields
+  /// (observe/Metrics.h) render them.
+  void emit(EventKind K, const std::string &Fields = {});
   void flush();
 
-  /// Convenience EventArg builders.
-  static EventArg num(std::string Key, double V);
-  static EventArg str(std::string Key, std::string V);
+  /// One member for emit(): `,"Key":V` (%.6g) / `,"Key":"V"` (quoted).
+  static std::string num(const std::string &Key, double V);
+  static std::string str(const std::string &Key, const std::string &V);
 
   /// The process-wide active log, or null. Set by EventLogActivation.
   static EventLog *active();
 
 private:
   std::FILE *F = nullptr;
-  std::string LogPath;
   std::chrono::steady_clock::time_point Epoch;
-  mutable std::mutex Mu;
-  int64_t Count = 0;
+  std::mutex Mu;
 };
 
 /// RAII activation: installs \p L as the process-wide event sink and hooks

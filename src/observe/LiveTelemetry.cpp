@@ -2,6 +2,7 @@
 
 #include "observe/LiveTelemetry.h"
 
+#include "support/Args.h"
 #include "support/Net.h"
 
 #include <algorithm>
@@ -460,16 +461,17 @@ void LiveSnapshotter::cycle() {
     // Delta record for the event log: every counter that moved since the
     // previous cycle.
     if (EventLog *EL = EventLog::active()) {
-      std::vector<EventArg> Args;
-      Args.push_back(EventLog::num("snapshot", static_cast<double>(
-                                                   Count.load() + 1)));
+      std::string Fields = EventLog::num("snapshot", Count.load() + 1);
+      int Moved = 0;
       for (const auto &[Name, V] : Now) {
         int64_t D = V - PrevCounters[Name];
-        if (D != 0 && Args.size() < 24)
-          Args.push_back(EventLog::num(Name, static_cast<double>(D)));
+        if (D != 0 && Moved < 23) {
+          Fields += EventLog::num(Name, static_cast<double>(D));
+          ++Moved;
+        }
       }
-      if (Args.size() > 1 || PrevCounters.empty())
-        EL->emit(EventKind::MetricsSnapshot, {}, Args);
+      if (Moved > 0 || PrevCounters.empty())
+        EL->emit(EventKind::MetricsSnapshot, Fields);
     }
     PrevCounters = std::move(Now);
   }
@@ -524,26 +526,16 @@ void LiveSnapshotter::threadMain() {
 
 TelemetryCli dmll::telemetryCliArgs(int Argc, char **Argv) {
   TelemetryCli C;
-  auto Value = [&](int &I) -> std::string {
-    return I + 1 < Argc ? Argv[++I] : std::string();
-  };
-  for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
-    if (A == "--metrics-out")
-      C.MetricsOut = Value(I);
-    else if (A == "--metrics-live")
-      C.MetricsLive = Value(I);
-    else if (A == "--metrics-port")
-      C.Port = std::atoi(Value(I).c_str());
-    else if (A == "--events-out")
-      C.EventsOut = Value(I);
-    else if (A == "--sample")
-      C.Sample = true;
-    else if (A == "--sample-out") {
-      C.SampleOut = Value(I);
-      C.Sample = true;
-    }
-  }
+  C.MetricsOut = flagValue(Argc, Argv, "metrics-out");
+  C.MetricsLive = flagValue(Argc, Argv, "metrics-live");
+  C.EventsOut = flagValue(Argc, Argv, "events-out");
+  C.SampleOut = flagValue(Argc, Argv, "sample-out");
+  std::string Port = flagValue(Argc, Argv, "metrics-port");
+  if (!Port.empty())
+    C.Port = std::atoi(Port.c_str());
+  for (int I = 1; I < Argc; ++I)
+    C.Sample |= std::strcmp(Argv[I], "--sample") == 0;
+  C.Sample |= !C.SampleOut.empty();
   return C;
 }
 

@@ -5,25 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The live half of the telemetry plane (docs/TELEMETRY.md): renders the
-/// MetricsRegistry — counters, gauges, histograms, including the per-loop
-/// `exec.loop_ms|loop=<sig>|engine=<e>` series the interpreter feeds — plus
-/// the active sampling profiler's buckets in Prometheus text exposition
-/// format, and runs a LiveSnapshotter thread that periodically writes the
-/// exposition to a file (atomic tmp+rename, so tailers never see a torn
-/// snapshot), serves it over an optional localhost TCP endpoint, and
-/// appends counter-delta records to the active event log. `dmll-top` tails
-/// either output and renders the live per-loop table.
-///
-/// Registry names may carry labels after `|` separators
-/// (`base|key=value|key=value`); the renderer splits them into Prometheus
-/// label sets, so one histogram family groups every loop/engine series.
-/// A parser + format checker for the exposition text lives here too, used
-/// by dmll-top, the telemetry tests, and the telemetry_smoke gate.
-///
-/// TelemetryCli/TelemetryScope wrap the whole plane behind the shared
-/// command-line flags (--metrics-out/--metrics-live/--metrics-port/
-/// --events-out/--sample/--sample-out) for quickstart and the benches.
+/// The live half of the telemetry plane (docs/TELEMETRY.md): the Prometheus
+/// text rendering of the MetricsRegistry (registry `|key=value` suffixes
+/// become label sets) plus the active sampler's buckets, a parser and format
+/// checker for it (dmll-top, the tests, telemetry_smoke), the LiveSnapshotter
+/// thread that writes it to a file (atomic tmp+rename), serves it on an
+/// optional localhost endpoint and appends counter deltas to the event log,
+/// and TelemetryCli/TelemetryScope, the shared command-line flags
+/// (--metrics-out/--metrics-live/--metrics-port/--events-out/--sample/
+/// --sample-out) of quickstart, the benches and dmll-serve.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,11 +38,8 @@ void splitMetricName(const std::string &Name, std::string &Base,
                      std::vector<std::pair<std::string, std::string>> &Labels);
 
 /// Renders \p R (and the active SamplingProfiler's buckets, if any) in
-/// Prometheus text exposition format: `dmll_`-prefixed mangled names,
-/// counters with `_total`, histograms with cumulative `_bucket{le=...}`
-/// rows ending at `+Inf`, plus `_sum`/`_count`. `_count` equals the `+Inf`
-/// bucket by construction, so a snapshot taken mid-update still satisfies
-/// the Prometheus histogram invariant.
+/// Prometheus text exposition format. `_count` repeats the `+Inf` bucket,
+/// so a snapshot taken mid-update still satisfies the histogram invariant.
 std::string renderPrometheus(const MetricsRegistry &R);
 /// The process-global registry's exposition.
 std::string renderPrometheus();
@@ -85,16 +72,11 @@ bool parsePrometheus(const std::string &Text, PromSnapshot &Out,
 /// Returns human-readable problems (empty = pass).
 std::vector<std::string> checkPrometheus(const std::string &Text);
 
-/// Background metrics snapshotter: a dedicated thread that renders the
-/// exposition every period, atomically replaces \p Path (if set), answers
-/// HTTP GETs on 127.0.0.1:\p Port (if requested), and appends a
+/// Background metrics snapshotter: a thread that renders the exposition
+/// every period, atomically replaces \p Path (if set), answers HTTP GETs on
+/// 127.0.0.1:\p Port (if requested; MSG_NOSIGNAL writes and a drained
+/// request keep misbehaving clients harmless, support/Net.h), and appends a
 /// metrics.snapshot delta event per cycle to the active EventLog.
-///
-/// The endpoint is crash-proof against misbehaving clients (support/Net.h):
-/// responses go out with MSG_NOSIGNAL so a disconnect mid-response is a
-/// recorded error, not a SIGPIPE, and the client's request is drained
-/// (bounded, non-blocking) before the response is written and the socket
-/// closed, so scrapers never see an RST clobber the already-sent body.
 class LiveSnapshotter {
 public:
   struct Options {
@@ -142,24 +124,17 @@ private:
   int BoundPort = 0; ///< set once in the constructor, then read-only
 };
 
-/// The shared telemetry command-line surface (quickstart, benches, smoke):
-///   --metrics-out F    write a final Prometheus snapshot to F on exit
-///   --metrics-live F   run the snapshotter, replacing F every period
-///   --metrics-port N   also serve the exposition on 127.0.0.1:N; N == 0
-///                      binds an ephemeral port and prints it to stderr
-///   --events-out F     write the dmll-events-v1 JSONL log to F
-///   --sample           run the sampling profiler
-///   --sample-out F     write collapsed stacks to F on exit (implies
-///                      --sample)
+/// The shared telemetry flags: --metrics-out F (final exposition at exit),
+/// --metrics-live F (snapshotter file), --metrics-port N (endpoint; 0 binds
+/// an ephemeral port and prints it), --events-out F, --sample, and
+/// --sample-out F (collapsed stacks at exit; implies --sample).
 struct TelemetryCli {
   std::string MetricsOut, MetricsLive, EventsOut, SampleOut;
   bool Sample = false;
   /// -1: no endpoint requested; 0: ephemeral; >0: fixed port.
   int Port = -1;
-  /// 50 Hz. Each tick on a saturated single-core host costs ~100-200us
-  /// effective (the wakeup preempts a worker and pollutes its caches), so
-  /// 50 Hz keeps measured overhead near half the 2% telemetry_smoke
-  /// budget while multi-second loops still collect thousands of samples.
+  /// 50 Hz: each tick costs a saturated host ~100-200us (the wakeup preempts
+  /// a worker), so this keeps overhead near half the 2% telemetry budget.
   double SamplePeriodMs = 20;
   double LivePeriodMs = 100;
 

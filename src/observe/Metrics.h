@@ -1,20 +1,17 @@
-//===- observe/Metrics.h - Executor metrics aggregation --------*- C++ -*-===//
+//===- observe/Metrics.h - Executor metrics and the loop record -*- C++ -*-===//
 //
 // Part of the DMLL reproduction of Brown et al., CGO 2016.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Per-worker metrics for the chunked shared-memory executor: how many
-/// chunks each worker executed, how many index-space items those chunks
-/// covered, how many chunks were stolen from other workers' deques, time
-/// spent inside chunk bodies (busy) versus waking up / probing for work
-/// (queue-wait), and the hardware/rusage counter deltas of those chunk
-/// bodies (observe/Prof.h).
-/// ThreadPool::parallelFor fills a ParallelForStats per call; the
-/// interpreter accumulates them across all parallel multiloops into an
-/// ExecProfile — per-worker totals plus one LoopProfile per executed
-/// closed loop — which executeProgram surfaces on the ExecutionReport.
+/// Executor metrics and the loop record (docs/TELEMETRY.md).
+/// ThreadPool::parallelFor fills a ParallelForStats per call — per worker:
+/// chunks, items, steals, busy vs wait time, counter deltas — and the
+/// interpreter accumulates them into an ExecProfile. The closed multiloop is
+/// the unit of execution (Section 5) and so the unit of report: the
+/// interpreter builds one LoopProfile per closed-loop execution and hands it
+/// to one LoopObservation, which feeds every telemetry sink from it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,12 +19,17 @@
 #define DMLL_OBSERVE_METRICS_H
 
 #include "observe/Prof.h"
+#include "observe/Sampler.h"
+#include "observe/Trace.h"
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace dmll {
+
+class EventLog;
 
 /// One worker's share of one (or, after accumulation, many) parallel-for
 /// executions.
@@ -51,16 +53,15 @@ struct ParallelForStats {
 
   int64_t totalChunks() const;
   int64_t totalItems() const;
-  /// Chunk-body counter deltas summed across workers.
-  CounterSample totalCounters() const;
 };
 
-/// Measured execution record of one closed multiloop: which engine ran it,
-/// how long it took, and what the counters saw. The calibration layer
-/// (sim/Calibration.h) pairs these with the simulator's predictions.
+/// The record of one closed-multiloop execution: which engine ran it, with
+/// which knobs, why not the kernel engine, how long it took, and what the
+/// counters saw. The calibration layer (sim/Calibration.h) and the tuner's
+/// cost model (tune/Tuner.h) read it too.
 struct LoopProfile {
   std::string Loop;   ///< loopSignature of the multiloop
-  std::string Engine; ///< "interp" | "kernel"
+  std::string Engine = "interp"; ///< "interp" | "kernel"
   int64_t Iters = 0;
   double Millis = 0;    ///< wall time of the loop (execution + merge)
   bool Parallel = false;///< took the chunked path
@@ -72,10 +73,54 @@ struct LoopProfile {
   bool Wide = false;
   /// True when a DecisionTable entry matched this loop's signature.
   bool Tuned = false;
-  /// Counter deltas over the loop: chunk-body sums across workers for
-  /// parallel loops plus the driver thread's own share (dispatch, merge);
-  /// pure driver-thread deltas for sequential loops.
+  /// Why the kernel engine did not run a loop it was asked to run (the
+  /// compiler's rejection reason or a launch-time binding rejection).
+  std::string Fallback;
+  /// Chunks the interpreter split a parallel loop into; 0 otherwise.
+  int64_t Chunks = 0;
+  /// Counter deltas over the loop: the other workers' chunk-body sums plus
+  /// the driver thread's own bracket. Measured only for a run with a
+  /// Profile sink (EvalOptions::Profile); zero otherwise.
   CounterSample Counters;
+};
+
+/// Appends \p C as a JSON object: `hw`, the four hardware fields and `ipc`
+/// when Hw, then the rusage fields.
+void appendCounterJson(std::string &Out, const CounterSample &C);
+
+/// Appends \p LP's fields as JSON members, each preceded by a comma — loop,
+/// engine, iters, millis, parallel, threads, min_chunk, wide, tuned, then
+/// fallback when set and counters when \p WithCounters. `loop.end` and the
+/// dmll-profile-v1 `loops` entries both render through it.
+void appendLoopFields(std::string &Out, const LoopProfile &LP,
+                      bool WithCounters);
+
+/// The one observation of a closed-loop execution. Opening \p Rec (Loop,
+/// Iters and knobs set) publishes the sampler phase `exec.loop`, opens the
+/// `exec.loop` span and emits `loop.begin`; \p Measure brackets the loop
+/// with ThreadCounters. Metric handles are resolved once per signature,
+/// never per execution.
+class LoopObservation {
+public:
+  LoopObservation(LoopProfile &Rec, bool Measure);
+
+  /// The interned signature that chunk and kernel scopes publish.
+  const char *sampleName() const { return Name; }
+
+  /// Stamps Millis (and Counters) into the record and writes the span args,
+  /// the per-loop metrics and `loop.end` from it. A loop that traps is
+  /// never closed: the unwind only ends the span and the publication.
+  void close();
+
+private:
+  LoopProfile &Rec;
+  bool Measure;
+  const char *Name;
+  EventLog *Events;
+  SampleScope Sample;
+  TraceSpan Span;
+  CounterSample Before;
+  std::chrono::steady_clock::time_point T0;
 };
 
 /// Accumulated executor metrics across an evaluation (one entry per worker,
@@ -90,8 +135,6 @@ struct ExecProfile {
 
   /// Merges one parallel-for's stats into the per-worker totals.
   void accumulate(const ParallelForStats &S);
-  /// Chunk-body counter deltas summed across the per-worker totals.
-  CounterSample totalCounters() const;
 };
 
 /// Fixed-width text table of per-worker stats (for benches/examples).

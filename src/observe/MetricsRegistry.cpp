@@ -2,6 +2,8 @@
 
 #include "observe/MetricsRegistry.h"
 
+#include "support/Json.h"
+
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
@@ -108,21 +110,21 @@ std::string MetricsRegistry::renderJson() const {
   OS << "{\"counters\":{";
   bool First = true;
   for (const auto &[Name, C] : Counters) {
-    OS << (First ? "" : ",") << "\"" << Name << "\":" << C->value();
+    OS << (First ? "" : ",") << json::quote(Name) << ":" << C->value();
     First = false;
   }
   OS << "},\"gauges\":{";
   First = true;
   for (const auto &[Name, G] : Gauges) {
-    OS << (First ? "" : ",") << "\"" << Name << "\":";
+    OS << (First ? "" : ",") << json::quote(Name) << ":";
     jsonNum(OS, G->value());
     First = false;
   }
   OS << "},\"histograms\":{";
   First = true;
   for (const auto &[Name, H] : Histograms) {
-    OS << (First ? "" : ",") << "\"" << Name << "\":{\"count\":" << H->count()
-       << ",\"sum\":";
+    OS << (First ? "" : ",") << json::quote(Name)
+       << ":{\"count\":" << H->count() << ",\"sum\":";
     jsonNum(OS, H->sum());
     OS << ",\"buckets\":[";
     // Cumulative rows, Prometheus-style: each row counts observations <=
@@ -148,9 +150,15 @@ std::string MetricsRegistry::renderJson() const {
 
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> L(Mu);
-  Counters.clear();
-  Gauges.clear();
-  Histograms.clear();
+  auto Retire = [&](auto &Map) {
+    for (auto &[Name, I] : Map)
+      Retired.emplace_back(std::move(I));
+    Map.clear();
+  };
+  Retire(Counters);
+  Retire(Gauges);
+  Retire(Histograms);
+  Gen.fetch_add(1, std::memory_order_release);
 }
 
 double dmll::histogramQuantile(const HistogramSnapshot &H, double Q) {

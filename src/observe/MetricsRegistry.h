@@ -6,25 +6,16 @@
 ///
 /// \file
 /// A process-wide registry of named instruments — monotonic counters,
-/// last-write gauges, and fixed-bucket histograms — that the runtime feeds
-/// as it executes: chunk-body latency and steal latency from the thread
-/// pool, kernel-compile time from the engine, loop/launch/fallback tallies
-/// from the interpreter. Instruments are created on first use, live for the
-/// process, and are updated lock-free (atomics only), so probes are cheap
-/// enough to leave in hot paths; creation/lookup takes a registry mutex and
-/// callers on hot paths resolve their instrument once up front.
-///
-/// The registry snapshot is exported as the "metrics" section of the
-/// execution profile JSON (runtime/ProfileJson.h), next to the Chrome trace
-/// — trace answers "when", metrics answer "how much, in aggregate" — and in
-/// Prometheus text exposition format by the live snapshotter
-/// (observe/LiveTelemetry.h, docs/TELEMETRY.md).
-/// Instrument naming follows the trace convention: dotted lowercase
-/// `<area>.<what>`, with `_ms` suffix on time-valued histograms. A name may
-/// additionally carry `|key=value` label suffixes (e.g.
-/// `exec.loop_ms|loop=Multiloop[Reduce]|engine=kernel`); the JSON export
-/// keeps them verbatim while the Prometheus renderer splits them into label
-/// sets, grouping every labeled series under one metric family.
+/// last-write gauges, fixed-bucket histograms — that the runtime feeds as it
+/// executes (docs/TELEMETRY.md, "The metrics registry"). Instruments are
+/// created on first use and updated lock-free; creation and lookup take the
+/// registry mutex, so hot paths resolve their instrument once (the loop
+/// telemetry caches its handles per loop signature, observe/Metrics.h).
+/// Names are dotted lowercase `<area>.<what>`, `_ms` on time-valued
+/// histograms, and may carry `|key=value` label suffixes
+/// (`exec.loop_ms|loop=Multiloop[Reduce]|engine=kernel`): the profile's
+/// "metrics" section keeps them verbatim, the Prometheus renderer
+/// (observe/LiveTelemetry.h) turns them into label sets.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -115,7 +106,7 @@ struct MetricsSnapshot {
 
 /// The registry. One process-wide instance (global()); tests may construct
 /// private instances. Instrument references remain valid for the
-/// registry's lifetime.
+/// registry's lifetime, reset() included.
 class MetricsRegistry {
 public:
   static MetricsRegistry &global();
@@ -138,12 +129,18 @@ public:
   /// is the total observation count.
   std::string renderJson() const;
 
-  /// Zeroes every instrument (drops them; names repopulate on next use).
-  /// For test isolation — never called on the hot path.
+  /// Test isolation: drops every instrument (names repopulate on next use)
+  /// and bumps generation(). Dropped instruments stay allocated, so cached
+  /// references stay safe; caches compare generation() to re-resolve.
   void reset();
+
+  /// Number of reset() calls so far.
+  uint64_t generation() const { return Gen.load(std::memory_order_acquire); }
 
 private:
   mutable std::mutex Mu;
+  std::atomic<uint64_t> Gen{0};
+  std::vector<std::shared_ptr<void>> Retired; ///< instruments reset() dropped
   std::map<std::string, std::unique_ptr<MetricCounter>> Counters;
   std::map<std::string, std::unique_ptr<MetricGauge>> Gauges;
   std::map<std::string, std::unique_ptr<MetricHistogram>> Histograms;

@@ -5,23 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Sub-wall-clock visibility into *why* a loop was fast or slow: each
-/// executor thread owns a lazily opened `perf_event_open` group (cycles,
-/// instructions, LLC misses, branch misses) read as one syscall per probe.
-/// When hardware events are unavailable — no PMU in the VM, restrictive
-/// perf_event_paranoid, non-Linux hosts — probes degrade to a portable
-/// timing + getrusage fallback (per-thread user/system CPU time, page
-/// faults, context switches), so CounterSample.Hw tells consumers which
-/// half of the record to trust. docs/PROFILING.md documents the exact
-/// semantics of every field.
+/// Per-thread hardware counter probes (docs/TELEMETRY.md, "Hardware
+/// counters"): each executor thread owns a lazily opened `perf_event_open`
+/// group (cycles, instructions, LLC misses, branch misses) read with one
+/// syscall per probe. Without hardware events — no PMU in the VM, a
+/// restrictive perf_event_paranoid, non-Linux hosts — probes keep only the
+/// portable getrusage half (CPU time, page faults, context switches), and
+/// CounterSample::Hw tells consumers which half to trust.
 ///
-/// Usage is snapshot-subtract: `ThreadCounters::now()` returns cumulative
-/// per-thread readings, and the delta of two snapshots brackets a region.
-/// The interpreter and kernel VM bracket whole loops on the driver thread;
-/// ThreadPool brackets each chunk body on its worker thread and
-/// accumulates the deltas into WorkerStats (observe/Metrics.h), so a
-/// parallel loop's counters are the sum of real per-chunk work, not a
-/// driver-thread approximation.
+/// Usage is snapshot-subtract: the delta of two `ThreadCounters::now()`
+/// readings brackets a region. The loop observation (observe/Metrics.h)
+/// brackets each closed loop on the driver thread and ThreadPool each chunk
+/// body on its worker, so a parallel loop's counters sum real per-chunk
+/// work.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -5,23 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A timer-driven sampling profiler that attributes wall time to the loop
-/// signature and pipeline phase each thread is currently executing, without
-/// unwinding native stacks: the interpreter, kernel VM, and executor
-/// publish their position into a per-thread SampleSlot (two relaxed atomic
-/// pointer stores per scope, into strings interned for the process
-/// lifetime), and a background thread wakes every period, reads every live
-/// slot, and bumps a (phase, loop) bucket. A slot with a null phase counts
-/// as idle. Publication costs nanoseconds whether or not a profiler runs,
-/// and the sampler thread does O(threads) loads per tick, so the measured
-/// overhead on real suites is well under the 2% budget telemetry_smoke
-/// gates (docs/TELEMETRY.md has the methodology).
-///
-/// Aggregated buckets export as collapsed stacks — `dmll;<phase>;<loop> N`
-/// lines that flamegraph.pl and speedscope ingest directly — and as
-/// dmll_samples_total series in the Prometheus exposition
-/// (observe/LiveTelemetry.h). executeProgram brackets each run with
-/// snapshots, so ExecutionReport carries the run's sample delta.
+/// A timer-driven sampling profiler (docs/TELEMETRY.md, "The sampling
+/// profiler") that attributes wall time to the (phase, loop signature) each
+/// thread is executing without unwinding native stacks: instrumented code
+/// publishes its position into a per-thread SampleSlot (two relaxed pointer
+/// stores per scope, into strings interned for the process lifetime), and a
+/// background thread reads every live slot each period and bumps a bucket.
+/// Buckets export as flamegraph-ready collapsed stacks, as
+/// `dmll_samples_total` series, and as the per-run delta executeProgram puts
+/// on the ExecutionReport.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,8 +90,6 @@ public:
 
   void start();
   void stop();
-  bool running() const { return Running.load(std::memory_order_acquire); }
-  double periodMs() const { return Period; }
 
   /// Snapshot of the aggregate so far; safe while running.
   SamplingSummary summary() const;

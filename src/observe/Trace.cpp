@@ -2,9 +2,10 @@
 
 #include "observe/Trace.h"
 
+#include "support/Json.h"
+
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -163,42 +164,6 @@ std::vector<const TraceEvent *> sortedForTid(const std::vector<TraceEvent> &Es,
   return Out;
 }
 
-void jsonEscape(std::ostringstream &OS, const std::string &S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    case '\r':
-      OS << "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << C;
-      }
-    }
-  }
-}
-
-void jsonString(std::ostringstream &OS, const std::string &S) {
-  OS << '"';
-  jsonEscape(OS, S);
-  OS << '"';
-}
-
 } // namespace
 
 std::string TraceSession::renderText() const {
@@ -268,16 +233,14 @@ std::string TraceSession::renderChromeJson() const {
     Sep();
     OS << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << Tid
        << ",\"args\":{\"name\":";
-    jsonString(OS, threadName(Tid));
+    OS << json::quote(threadName(Tid));
     OS << "}}";
   }
   for (const TraceEvent &E : Es) {
     Sep();
     bool IsCounter = E.Cat == "counter";
-    OS << "{\"name\":";
-    jsonString(OS, E.Name);
-    OS << ",\"cat\":";
-    jsonString(OS, E.Cat.empty() ? "trace" : E.Cat);
+    OS << "{\"name\":" << json::quote(E.Name)
+       << ",\"cat\":" << json::quote(E.Cat.empty() ? "trace" : E.Cat);
     OS << ",\"ph\":\"" << (IsCounter ? "C" : E.Instant ? "i" : "X") << "\"";
     char Buf[64];
     std::snprintf(Buf, sizeof(Buf), "%.3f", E.StartMs * 1000.0);
@@ -296,13 +259,12 @@ std::string TraceSession::renderChromeJson() const {
         if (!FirstArg)
           OS << ",";
         FirstArg = false;
-        jsonString(OS, K);
-        OS << ":";
+        OS << json::quote(K) << ":";
         // Counters must carry numeric args for the Chrome counter track.
         if (IsCounter && K == "value")
           OS << V;
         else
-          jsonString(OS, V);
+          OS << json::quote(V);
       }
       OS << "}";
     }
@@ -318,15 +280,4 @@ bool TraceSession::writeChromeJson(const std::string &Path) const {
     return false;
   Out << renderChromeJson();
   return static_cast<bool>(Out);
-}
-
-std::string dmll::traceArgPath(int Argc, char **Argv) {
-  for (int I = 1; I < Argc; ++I) {
-    const char *A = Argv[I];
-    if (std::strncmp(A, "--trace-out=", 12) == 0)
-      return A + 12;
-    if (std::strcmp(A, "--trace-out") == 0 && I + 1 < Argc)
-      return Argv[I + 1];
-  }
-  return "";
 }

@@ -5,25 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The observability substrate behind docs/OBSERVABILITY.md: a TraceSession
-/// records an ordered tree of timed events (compiler phases, rewrite-rule
-/// firings, analysis runs, codegen steps, executor chunk spans) that can be
-/// rendered as an indented text tree or exported as Chrome-trace-format
-/// JSON for chrome://tracing / Perfetto.
-///
-/// Instrumentation uses the LLVM time-trace idiom: one session is made
-/// *active* (TraceActivation, RAII) and instrumented code records into it
-/// through TraceSpan / TraceSession::active() with zero plumbing; when no
-/// session is active every probe is a cheap no-op. Recording is
-/// mutex-protected so executor worker threads may record concurrently;
-/// activation itself must happen while single-threaded (before workers
-/// spawn).
-///
-/// Event naming convention (see docs/OBSERVABILITY.md for the full table):
-/// dotted lowercase `<area>.<step>`, e.g. "compile.fusion",
-/// "analysis.partitioning", "rewrite.groupby-reduce", "exec.chunk". The
-/// category groups events for filtering: "phase", "pass", "rewrite",
-/// "analysis", "codegen", "exec", "counter".
+/// Compiler and runtime trace sessions (docs/TELEMETRY.md, "Traces"): a
+/// TraceSession records an ordered tree of timed events — compiler phases,
+/// rewrite-rule firings, analyses, codegen steps, executor spans — and
+/// renders it as an indented text tree or as Chrome-trace JSON for
+/// chrome://tracing / Perfetto. Instrumentation uses the LLVM time-trace
+/// idiom: one session is made active (TraceActivation, RAII) and TraceSpan
+/// records into it with zero plumbing; with none active every probe is a
+/// no-op. Activate while single-threaded; recording itself is thread-safe.
+/// Names are dotted lowercase `<area>.<step>` ("compile.fusion",
+/// "exec.chunk"); categories ("phase", "pass", "rewrite", "analysis",
+/// "codegen", "exec", "counter") group them for filtering.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,14 +32,10 @@
 
 namespace dmll {
 
-/// One completed (or instantaneous) event. Durations are derived, not open:
-/// spans record themselves on close. Nesting is explicit — every span gets
-/// a session-unique Id at open, and openings/instants link to the innermost
-/// open span of the same OS thread, session, and logical trace thread (Tid)
-/// as Parent — so renderers never reconstruct parentage from timestamps,
-/// and the invariant that a parent's interval contains its children's on
-/// the same trace row is checkable (tests/ObserveTest.cpp) rather than a
-/// rendering heuristic.
+/// One completed (or instantaneous) event; spans record themselves on
+/// close. Nesting is explicit: a span's Parent is the innermost span open
+/// at its opening on the same OS thread, session and trace thread (Tid), so
+/// "a parent's interval contains its children's" is a checkable invariant.
 struct TraceEvent {
   std::string Name; ///< dotted name, e.g. "compile.fusion"
   std::string Cat;  ///< "phase" | "pass" | "rewrite" | "analysis" |
@@ -162,10 +150,6 @@ private:
   uint64_t Parent = 0; ///< innermost open span on this thread at open time
   std::vector<std::pair<std::string, std::string>> Args;
 };
-
-/// Parses `--trace-out=PATH` / `--trace-out PATH` out of a main()'s argv
-/// (the convention every bench/example follows); returns "" when absent.
-std::string traceArgPath(int Argc, char **Argv);
 
 } // namespace dmll
 

@@ -52,9 +52,9 @@ ExecutionReport dmll::executeProgram(const Program &P, const InputMap &Inputs,
   if (Sampler)
     SampleStart = Sampler->summary();
   if (EventLog *EL = EventLog::active())
-    EL->emit(EventKind::RunStart, {},
-             {EventLog::num("threads", R.Threads),
-              EventLog::str("engine", engine::engineModeName(Exec.Mode))});
+    EL->emit(EventKind::RunStart,
+             EventLog::num("threads", R.Threads) +
+                 EventLog::str("engine", engine::engineModeName(Exec.Mode)));
   auto T0 = std::chrono::steady_clock::now();
   {
     TraceSpan S("exec.run", "exec");
@@ -78,9 +78,9 @@ ExecutionReport dmll::executeProgram(const Program &P, const InputMap &Inputs,
   // bracket in the event stream (the validator pairs it with the trap
   // event, observe/Events.cpp).
   if (EventLog *EL = EventLog::active())
-    EL->emit(EventKind::RunStop, {},
-             {EventLog::num("millis", R.Millis),
-              EventLog::str("status", execStatusName(R.Status))});
+    EL->emit(EventKind::RunStop,
+             EventLog::num("millis", R.Millis) +
+                 EventLog::str("status", execStatusName(R.Status)));
   if (Sampler)
     R.Sampling = samplingDelta(SampleStart, Sampler->summary());
   R.Workers = std::move(Profile.Workers);

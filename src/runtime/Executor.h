@@ -17,7 +17,7 @@
 /// per-worker executor metrics (chunks claimed, items covered, busy vs
 /// queue-wait time, observe/Metrics.h). When a TraceSession is active
 /// (observe/Trace.h) the whole run additionally records a phase/event tree
-/// exportable as Chrome-trace JSON — see docs/OBSERVABILITY.md.
+/// exportable as Chrome-trace JSON — see docs/TELEMETRY.md.
 ///
 //===----------------------------------------------------------------------===//
 

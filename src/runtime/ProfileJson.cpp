@@ -5,9 +5,9 @@
 #include "engine/Engine.h"
 #include "observe/MetricsRegistry.h"
 #include "observe/Prof.h"
+#include "support/Json.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -16,60 +16,10 @@ using namespace dmll;
 
 namespace {
 
-void jsonString(std::ostringstream &OS, const std::string &S) {
-  OS << '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    case '\r':
-      OS << "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << C;
-      }
-    }
-  }
-  OS << '"';
-}
-
 void jsonNum(std::ostringstream &OS, double X) {
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), "%.6g", X);
   OS << Buf;
-}
-
-void counterJson(std::ostringstream &OS, const CounterSample &C) {
-  OS << "{\"hw\":" << (C.Hw ? "true" : "false");
-  if (C.Hw) {
-    OS << ",\"cycles\":" << C.Cycles
-       << ",\"instructions\":" << C.Instructions
-       << ",\"llc_misses\":" << C.LlcMisses
-       << ",\"branch_misses\":" << C.BranchMisses << ",\"ipc\":";
-    jsonNum(OS, C.ipc());
-  }
-  OS << ",\"user_ms\":";
-  jsonNum(OS, C.UserMs);
-  OS << ",\"sys_ms\":";
-  jsonNum(OS, C.SysMs);
-  OS << ",\"minor_faults\":" << C.MinorFaults
-     << ",\"major_faults\":" << C.MajorFaults
-     << ",\"ctx_switches\":" << C.CtxSwitches << "}";
 }
 
 } // namespace
@@ -77,8 +27,7 @@ void counterJson(std::ostringstream &OS, const CounterSample &C) {
 std::string dmll::renderProfileJson(const ExecutionReport &R) {
   std::ostringstream OS;
   OS << "{\n\"schema\":\"dmll-profile-v1\",\n";
-  OS << "\"engine\":";
-  jsonString(OS, engine::engineModeName(R.Mode));
+  OS << "\"engine\":" << json::quote(engine::engineModeName(R.Mode));
   OS << ",\n\"threads\":" << R.Threads;
   OS << ",\n\"millis\":";
   jsonNum(OS, R.Millis);
@@ -89,9 +38,7 @@ std::string dmll::renderProfileJson(const ExecutionReport &R) {
 
   OS << ",\n\"hw_counters\":{\"available\":"
      << (ThreadCounters::hardwareAvailable() ? "true" : "false")
-     << ",\"source\":";
-  jsonString(OS, counterSourceName());
-  OS << "}";
+     << ",\"source\":" << json::quote(counterSourceName()) << "}";
 
   // Per-loop records. The key disambiguates repeated executions of the
   // same loop (memoization makes repeats rare, iterative drivers make them
@@ -101,25 +48,13 @@ std::string dmll::renderProfileJson(const ExecutionReport &R) {
   bool First = true;
   for (const LoopProfile &LP : R.Loops) {
     int Occ = Occurrence[LP.Loop + "/" + LP.Engine]++;
-    if (!First)
-      OS << ",";
+    std::string Entry = First ? "\n{\"key\":" : ",\n{\"key\":";
     First = false;
-    OS << "\n{\"key\":";
-    jsonString(OS, "loop:" + LP.Loop + "#" + std::to_string(Occ) + "/" +
-                       LP.Engine);
-    OS << ",\"loop\":";
-    jsonString(OS, LP.Loop);
-    OS << ",\"engine\":";
-    jsonString(OS, LP.Engine);
-    OS << ",\"occurrence\":" << Occ << ",\"iters\":" << LP.Iters
-       << ",\"millis\":";
-    jsonNum(OS, LP.Millis);
-    OS << ",\"parallel\":" << (LP.Parallel ? "true" : "false")
-       << ",\"threads\":" << LP.Threads << ",\"min_chunk\":" << LP.MinChunk
-       << ",\"wide\":" << (LP.Wide ? "true" : "false")
-       << ",\"tuned\":" << (LP.Tuned ? "true" : "false") << ",\"counters\":";
-    counterJson(OS, LP.Counters);
-    OS << "}";
+    Entry += json::quote("loop:" + LP.Loop + "#" + std::to_string(Occ) + "/" +
+                         LP.Engine);
+    Entry += ",\"occurrence\":" + std::to_string(Occ);
+    appendLoopFields(Entry, LP, /*WithCounters=*/true);
+    OS << Entry << "}";
   }
   OS << "\n]";
 
@@ -135,9 +70,9 @@ std::string dmll::renderProfileJson(const ExecutionReport &R) {
     jsonNum(OS, W.BusyMs);
     OS << ",\"wait_ms\":";
     jsonNum(OS, W.WaitMs);
-    OS << ",\"counters\":";
-    counterJson(OS, W.Counters);
-    OS << "}";
+    std::string Counters;
+    appendCounterJson(Counters, W.Counters);
+    OS << ",\"counters\":" << Counters << "}";
   }
   OS << "\n]";
 
@@ -156,16 +91,13 @@ std::string dmll::renderProfileJson(const ExecutionReport &R) {
     if (!First)
       OS << ",";
     First = false;
-    OS << "\n{\"stack\":";
-    jsonString(OS, Key);
-    OS << ",\"samples\":" << N << "}";
+    OS << "\n{\"stack\":" << json::quote(Key) << ",\"samples\":" << N << "}";
   }
   OS << "\n]}";
 
   const CalibrationReport &C = R.Calibration;
-  OS << ",\n\"calibration\":{\"machine\":";
-  jsonString(OS, C.Machine);
-  OS << ",\"cores\":" << C.Cores << ",\"measured_ms\":";
+  OS << ",\n\"calibration\":{\"machine\":" << json::quote(C.Machine)
+     << ",\"cores\":" << C.Cores << ",\"measured_ms\":";
   jsonNum(OS, C.MeasuredMs);
   OS << ",\"predicted_ms\":";
   jsonNum(OS, C.PredictedMs);
@@ -177,11 +109,9 @@ std::string dmll::renderProfileJson(const ExecutionReport &R) {
     if (!First)
       OS << ",";
     First = false;
-    OS << "\n{\"loop\":";
-    jsonString(OS, L.Loop);
-    OS << ",\"engine\":";
-    jsonString(OS, L.Engine);
-    OS << ",\"iters\":" << L.Iters << ",\"measured_ms\":";
+    OS << "\n{\"loop\":" << json::quote(L.Loop)
+       << ",\"engine\":" << json::quote(L.Engine) << ",\"iters\":" << L.Iters
+       << ",\"measured_ms\":";
     jsonNum(OS, L.MeasuredMs);
     OS << ",\"predicted_ms\":";
     jsonNum(OS, L.PredictedMs);
@@ -201,15 +131,4 @@ bool dmll::writeProfileJson(const std::string &Path,
     return false;
   Out << renderProfileJson(R);
   return static_cast<bool>(Out);
-}
-
-std::string dmll::profileArgPath(int Argc, char **Argv) {
-  for (int I = 1; I < Argc; ++I) {
-    const char *A = Argv[I];
-    if (std::strncmp(A, "--profile-out=", 14) == 0)
-      return A + 14;
-    if (std::strcmp(A, "--profile-out") == 0 && I + 1 < Argc)
-      return Argv[I + 1];
-  }
-  return "";
 }

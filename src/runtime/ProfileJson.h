@@ -6,16 +6,17 @@
 ///
 /// \file
 /// Serializes an ExecutionReport into the `dmll-profile-v1` JSON document
-/// that tools/dmll-prof diffs for regressions (docs/PROFILING.md documents
+/// that tools/dmll-prof diffs for regressions (docs/TELEMETRY.md documents
 /// the schema): run header, per-loop records keyed
-/// `loop:<signature>#<occurrence>/<engine>`, per-worker executor totals,
+/// `loop:<signature>#<occurrence>/<engine>` (the loop record's fields,
+/// rendered by appendLoopFields, observe/Metrics.h), per-worker executor
+/// totals,
 /// the process-wide metrics registry snapshot (counters, gauges, latency
 /// histograms), and the simulator calibration section with predicted vs
 /// measured milliseconds per loop.
 ///
-/// The profile is the aggregate companion of the Chrome trace: every bench
-/// and example that takes `--trace-out` takes `--profile-out` too
-/// (profileArgPath mirrors traceArgPath).
+/// The profile is the aggregate companion of the Chrome trace: every
+/// example that takes `--trace-out` takes `--profile-out` too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,10 +36,6 @@ std::string renderProfileJson(const ExecutionReport &R);
 
 /// Writes renderProfileJson(R) to \p Path; returns false on I/O failure.
 bool writeProfileJson(const std::string &Path, const ExecutionReport &R);
-
-/// Parses `--profile-out=PATH` / `--profile-out PATH` out of a main()'s
-/// argv (same convention as traceArgPath); returns "" when absent.
-std::string profileArgPath(int Argc, char **Argv);
 
 } // namespace dmll
 

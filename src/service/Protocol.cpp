@@ -47,39 +47,6 @@ bool service::recvFrame(int Fd, std::string &Body, std::string *Err) {
   return true;
 }
 
-std::string service::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-  return Out;
-}
-
 uint64_t service::fnv1a64(const std::string &Data) {
   uint64_t H = 14695981039346656037ull;
   for (unsigned char C : Data) {
@@ -137,8 +104,7 @@ std::string service::renderRequest(const Request &R) {
   auto Str = [&](const char *K, const std::string &V) {
     if (V.empty())
       return;
-    Out += std::string(First ? "" : ",") + "\"" + K + "\":\"" +
-           jsonEscape(V) + "\"";
+    Out += std::string(First ? "" : ",") + "\"" + K + "\":" + json::quote(V);
     First = false;
   };
   auto Num = [&](const char *K, int64_t V, int64_t Skip) {
@@ -164,18 +130,18 @@ std::string service::renderRequest(const Request &R) {
 std::string service::renderResponse(const Response &R) {
   char Ms[48];
   std::snprintf(Ms, sizeof(Ms), "%.6f", R.Ms);
-  std::string Out = "{\"status\":\"" + jsonEscape(R.Status) + "\"";
+  std::string Out = "{\"status\":" + json::quote(R.Status);
   if (!R.Id.empty())
-    Out += ",\"id\":\"" + jsonEscape(R.Id) + "\"";
+    Out += ",\"id\":" + json::quote(R.Id);
   if (!R.Cache.empty())
-    Out += ",\"cache\":\"" + jsonEscape(R.Cache) + "\"";
+    Out += ",\"cache\":" + json::quote(R.Cache);
   if (!R.Digest.empty())
-    Out += ",\"digest\":\"" + jsonEscape(R.Digest) + "\"";
+    Out += ",\"digest\":" + json::quote(R.Digest);
   Out += ",\"ms\":" + std::string(Ms);
   if (!R.Key.empty())
-    Out += ",\"key\":\"" + jsonEscape(R.Key) + "\"";
+    Out += ",\"key\":" + json::quote(R.Key);
   if (!R.Error.empty())
-    Out += ",\"error\":\"" + jsonEscape(R.Error) + "\"";
+    Out += ",\"error\":" + json::quote(R.Error);
   Out += R.Extra;
   Out += "}";
   return Out;

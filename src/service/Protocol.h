@@ -90,9 +90,6 @@ std::string renderResponse(const Response &R);
 /// Parses a response payload (the client half); false on malformed JSON.
 bool parseResponse(const std::string &Json, Response &R, std::string &Err);
 
-/// JSON string escaping shared by the renderers.
-std::string jsonEscape(const std::string &S);
-
 /// FNV-1a 64-bit over \p Data — the serialized-IR hash the compiled-program
 /// cache is keyed by (rendered as 16 hex digits).
 uint64_t fnv1a64(const std::string &Data);

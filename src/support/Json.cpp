@@ -3,6 +3,7 @@
 #include "support/Json.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -242,4 +243,39 @@ bool dmll::json::parseFile(const std::string &Path, JValue &Out) {
   std::ostringstream SS;
   SS << In.rdbuf();
   return parse(SS.str(), Out);
+}
+
+std::string dmll::json::quote(std::string_view S) {
+  std::string Out;
+  Out.reserve(S.size() + 2);
+  Out += '"';
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", static_cast<unsigned>(C));
+        Out += Buf;
+      } else {
+        Out += C;
+      }
+    }
+  }
+  Out += '"';
+  return Out;
 }

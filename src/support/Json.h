@@ -1,4 +1,4 @@
-//===- support/Json.h - Minimal JSON parser --------------------*- C++ -*-===//
+//===- support/Json.h - Minimal JSON reader and string quoter --*- C++ -*-===//
 //
 // Part of the DMLL reproduction of Brown et al., CGO 2016.
 //
@@ -17,12 +17,17 @@
 /// semantics. \uXXXX escapes decode to UTF-8, including surrogate pairs;
 /// lone surrogates and non-hex digits are rejected as malformed.
 ///
+/// The writing side is one string quoter, quote(), shared by every
+/// exporter (traces, events, profiles, tuning artifacts, dmll-serve frames,
+/// benchmark records), so all of them escape strings alike.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DMLL_SUPPORT_JSON_H
 #define DMLL_SUPPORT_JSON_H
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -64,6 +69,12 @@ bool parse(const std::string &S, JValue &Out);
 
 /// Reads and parses a whole file; false on I/O or parse failure.
 bool parseFile(const std::string &Path, JValue &Out);
+
+/// \p S as a JSON string literal: `"` and `\` are backslash-escaped,
+/// newline, carriage return and tab use their short escapes, other control
+/// characters become `\u00XX`, and every other byte (UTF-8 sequences
+/// included) passes through unchanged.
+std::string quote(std::string_view S);
 
 } // namespace json
 } // namespace dmll

@@ -26,7 +26,7 @@
 /// When a TraceSession (observe/Trace.h) is active, every stage records a
 /// timed "compile.*" phase span with IR node/loop counts, every rewrite
 /// application records a "rewrite.<rule>" instant, and RewriteStats carries
-/// full per-application provenance. See docs/OBSERVABILITY.md.
+/// full per-application provenance. See docs/TELEMETRY.md.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -15,7 +15,7 @@
 /// Every application is recorded in RewriteStats: a per-rule counter plus a
 /// RewriteApplication provenance record (rule, phase, pass, pre/post
 /// summaries), and — when a TraceSession is active — a "rewrite.<rule>"
-/// trace instant. docs/OBSERVABILITY.md documents the resulting format.
+/// trace instant. docs/TELEMETRY.md documents the resulting format.
 ///
 //===----------------------------------------------------------------------===//
 

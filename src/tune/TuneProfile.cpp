@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -14,38 +13,6 @@ using namespace dmll;
 using namespace dmll::tune;
 
 namespace {
-
-void jsonString(std::ostringstream &OS, const std::string &S) {
-  OS << '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    case '\r':
-      OS << "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << C;
-      }
-    }
-  }
-  OS << '"';
-}
 
 /// %.17g: enough digits that std::stod reproduces the exact double, so a
 /// parse/render round trip of the artifact is byte-identical.
@@ -96,14 +63,11 @@ std::string dmll::tune::sizeEnvFingerprint(const SizeEnv &Env) {
 
 std::string dmll::tune::renderTuningProfile(const TuningProfile &TP) {
   std::ostringstream OS;
-  OS << "{\n\"schema\":\"dmll-tune-v1\",\n\"app\":";
-  jsonString(OS, TP.App);
-  OS << ",\n\"threads\":" << TP.Threads << ",\n\"min_chunk\":" << TP.MinChunk
-     << ",\n\"mode\":";
-  jsonString(OS, TP.Mode);
-  OS << ",\n\"fingerprint\":";
-  jsonString(OS, TP.Fingerprint);
-  OS << ",\n\"baseline_ms\":";
+  OS << "{\n\"schema\":\"dmll-tune-v1\",\n\"app\":" << json::quote(TP.App)
+     << ",\n\"threads\":" << TP.Threads << ",\n\"min_chunk\":" << TP.MinChunk
+     << ",\n\"mode\":" << json::quote(TP.Mode)
+     << ",\n\"fingerprint\":" << json::quote(TP.Fingerprint)
+     << ",\n\"baseline_ms\":";
   jsonDouble(OS, TP.BaselineMs);
   OS << ",\n\"tuned_ms\":";
   jsonDouble(OS, TP.TunedMs);
@@ -115,11 +79,9 @@ std::string dmll::tune::renderTuningProfile(const TuningProfile &TP) {
     if (!First)
       OS << ",";
     First = false;
-    OS << "\n{\"loop\":";
-    jsonString(OS, E.Loop);
-    OS << ",\"engine\":";
-    jsonString(OS, loopEngineName(E.D.Engine));
-    OS << ",\"threads\":" << E.D.Threads << ",\"min_chunk\":" << E.D.MinChunk
+    OS << "\n{\"loop\":" << json::quote(E.Loop)
+       << ",\"engine\":" << json::quote(loopEngineName(E.D.Engine))
+       << ",\"threads\":" << E.D.Threads << ",\"min_chunk\":" << E.D.MinChunk
        << ",\"wide\":" << E.D.Wide
        << ",\"no_horizontal_fuse\":" << (E.D.NoHorizontalFuse ? "true" : "false")
        << ",\"no_loop_transforms\":" << (E.D.NoLoopTransforms ? "true" : "false")
@@ -195,17 +157,4 @@ bool dmll::tune::readTuningProfile(const std::string &Path,
   std::ostringstream SS;
   SS << F.rdbuf();
   return parseTuningProfile(SS.str(), Out);
-}
-
-std::string dmll::tune::tuneArgPath(int Argc, char **Argv, const char *Flag) {
-  std::string Eq = std::string("--") + Flag + "=";
-  std::string Bare = std::string("--") + Flag;
-  for (int I = 1; I < Argc; ++I) {
-    const char *A = Argv[I];
-    if (std::strncmp(A, Eq.c_str(), Eq.size()) == 0)
-      return A + Eq.size();
-    if (Bare == A && I + 1 < Argc)
-      return Argv[I + 1];
-  }
-  return "";
 }

@@ -73,10 +73,6 @@ bool parseTuningProfile(const std::string &Text, TuningProfile &Out);
 bool writeTuningProfile(const std::string &Path, const TuningProfile &TP);
 bool readTuningProfile(const std::string &Path, TuningProfile &Out);
 
-/// Scans argv for `--<flag>=PATH` or `--<flag> PATH` (mirrors
-/// runtime/ProfileJson.h profileArgPath); "" when absent.
-std::string tuneArgPath(int Argc, char **Argv, const char *Flag);
-
 } // namespace tune
 } // namespace dmll
 

@@ -77,15 +77,15 @@ bool resolvesToKernel(const LoopDecision &D, engine::EngineMode Mode,
 /// Runtime-knob candidates for one loop, deduped by execution shape, in
 /// deterministic enumeration order. The default (inherit-everything)
 /// decision is NOT included — the baseline run measures it.
-std::vector<LoopDecision> candidatesFor(int64_t N, const TuneOptions &Opts) {
+std::vector<LoopDecision> candidatesFor(int64_t N, const ExecOptions &Exec) {
   std::vector<LoopDecision> Out;
   std::vector<std::string> Seen;
   // The baseline's shape is taken: candidates that resolve to it add no
   // information.
-  Seen.push_back(shapeKey(LoopDecision(), resolvesToKernel({}, Opts.Mode, N),
-                          Opts.Threads, Opts.MinChunk, N));
+  Seen.push_back(shapeKey(LoopDecision(), resolvesToKernel({}, Exec.Mode, N),
+                          Exec.Threads, Exec.MinChunk, N));
   std::vector<unsigned> ThreadCaps{0, 1};
-  for (unsigned T = 2; T < Opts.Threads; T *= 2)
+  for (unsigned T = 2; T < Exec.Threads; T *= 2)
     ThreadCaps.push_back(T);
   const int64_t Chunks[] = {0, 256, 4096, 16384};
   for (LoopEngine E : {LoopEngine::Kernel, LoopEngine::Interp}) {
@@ -98,8 +98,8 @@ std::vector<LoopDecision> candidatesFor(int64_t N, const TuneOptions &Opts) {
           D.Threads = T;
           D.MinChunk = C;
           D.Wide = Wide;
-          std::string Key = shapeKey(D, E == LoopEngine::Kernel, Opts.Threads,
-                                     Opts.MinChunk, N);
+          std::string Key = shapeKey(D, E == LoopEngine::Kernel, Exec.Threads,
+                                     Exec.MinChunk, N);
           if (std::find(Seen.begin(), Seen.end(), Key) != Seen.end())
             continue;
           Seen.push_back(Key);
@@ -131,14 +131,14 @@ TuningProfile dmll::tune::tuneProgram(const std::string &App,
 
   TuningProfile TP;
   TP.App = App;
-  TP.Threads = Opts.Threads ? Opts.Threads : 1;
-  TP.MinChunk = Opts.MinChunk > 0 ? Opts.MinChunk : 1024;
-  TP.Mode = engine::engineModeName(Opts.Mode);
+  TP.Threads = Opts.Exec.Threads ? Opts.Exec.Threads : 1;
+  TP.MinChunk = Opts.Exec.MinChunk > 0 ? Opts.Exec.MinChunk : 1024;
+  TP.Mode = engine::engineModeName(Opts.Exec.Mode);
 
-  ExecOptions Exec;
+  ExecOptions Exec = Opts.Exec;
   Exec.Threads = TP.Threads;
-  Exec.Mode = Opts.Mode;
   Exec.MinChunk = TP.MinChunk;
+  Exec.Tuning = nullptr;
 
   // Baseline: the untuned run every decision must beat (or match).
   ExecutionReport Base;
@@ -176,15 +176,15 @@ TuningProfile dmll::tune::tuneProgram(const std::string &App,
     Tunable T;
     T.Sig = Sig;
     T.N = M.Iters;
-    T.Cands = candidatesFor(M.Iters, Opts);
+    T.Cands = candidatesFor(M.Iters, Exec);
     TP.Candidates += static_cast<int>(T.Cands.size());
     std::stable_sort(T.Cands.begin(), T.Cands.end(),
                      [&](const LoopDecision &A, const LoopDecision &B) {
                        return Model.predict(Sig, A,
-                                            resolvesToKernel(A, Opts.Mode,
+                                            resolvesToKernel(A, Exec.Mode,
                                                              T.N)) <
                               Model.predict(Sig, B,
-                                            resolvesToKernel(B, Opts.Mode,
+                                            resolvesToKernel(B, Exec.Mode,
                                                              T.N));
                      });
     T.MeasuredMs.assign(T.Cands.size(), 0);

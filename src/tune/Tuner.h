@@ -52,13 +52,17 @@ namespace tune {
 struct TuneOptions {
   CompileOptions Compile;
   /// Global run knobs the tuned run will execute with; decisions narrow
-  /// them per loop.
-  unsigned Threads = 4;
-  engine::EngineMode Mode = engine::EngineMode::Auto;
-  int64_t MinChunk = 1024;
+  /// them per loop. The search defaults to 4 workers under Auto (chunk
+  /// 1024); a Tuning table set here is ignored.
+  ExecOptions Exec;
   /// Measured candidate rounds after the baseline (each is one whole-
   /// program execution installing every loop's next-ranked candidate).
   int Rounds = 3;
+
+  TuneOptions() {
+    Exec.Threads = 4;
+    Exec.Mode = engine::EngineMode::Auto;
+  }
 };
 
 /// Runtime-knob search (see \file). \p App is a free-form label stored in

@@ -1,6 +1,6 @@
 //===- tests/ObserveTest.cpp - Observability layer tests -------*- C++ -*-===//
 //
-// Covers docs/OBSERVABILITY.md's contracts: trace events carry explicit
+// Covers docs/TELEMETRY.md's trace contracts: trace events carry explicit
 // parent-span ids whose intervals nest, rewrite provenance agrees with
 // RewriteStats.Applied, executor metrics account for every chunk, and the
 // Chrome-trace JSON export round-trips through support/Json.h (the same
@@ -16,6 +16,7 @@
 #include "observe/Trace.h"
 #include "runtime/Executor.h"
 #include "runtime/ThreadPool.h"
+#include "support/Args.h"
 #include "support/Json.h"
 #include "transform/Pipeline.h"
 
@@ -136,11 +137,16 @@ TEST(TraceSession, ActivationNestsAndRestores) {
 
 TEST(TraceSession, TraceArgPath) {
   const char *Argv1[] = {"bench", "--trace-out=/tmp/t.json"};
-  EXPECT_EQ(traceArgPath(2, const_cast<char **>(Argv1)), "/tmp/t.json");
+  EXPECT_EQ(flagValue(2, const_cast<char **>(Argv1), "trace-out"),
+            "/tmp/t.json");
   const char *Argv2[] = {"bench", "--trace-out", "x.json"};
-  EXPECT_EQ(traceArgPath(3, const_cast<char **>(Argv2)), "x.json");
+  EXPECT_EQ(flagValue(3, const_cast<char **>(Argv2), "trace-out"), "x.json");
   const char *Argv3[] = {"bench", "--other"};
-  EXPECT_EQ(traceArgPath(2, const_cast<char **>(Argv3)), "");
+  EXPECT_EQ(flagValue(2, const_cast<char **>(Argv3), "trace-out"), "");
+  // A longer flag sharing the prefix is a different flag; a dangling flag
+  // has no value.
+  const char *Argv4[] = {"bench", "--trace-outer=a", "--trace-out"};
+  EXPECT_EQ(flagValue(3, const_cast<char **>(Argv4), "trace-out"), "");
 }
 
 //===----------------------------------------------------------------------===//
@@ -395,17 +401,32 @@ TEST(Export, ChromeJsonRoundTripsThroughParser) {
 }
 
 TEST(Export, JsonEscapesSpecialCharacters) {
+  // Every exporter quotes through json::quote; each input must survive the
+  // trace export and the quoter alone byte for byte: a quote, a backslash,
+  // newline / carriage return / tab, other control characters, and UTF-8.
+  const std::string Inputs[] = {"we\"ird\\name\n", "a\"b", "back\\slash",
+                                "cr\rlf\r\n", "tab\tx", "ctl\x01\x1f",
+                                "h\xc3\xa9llo \xe2\x9c\x93"};
   TraceSession S;
-  S.instant("we\"ird\\name\n", "cat\t");
+  for (const std::string &In : Inputs)
+    S.instant(In, "cat\t");
   JsonValue Root;
   ASSERT_TRUE(parseJson(S.renderChromeJson(), Root));
   const JsonValue *Events = Root.field("traceEvents");
   ASSERT_NE(Events, nullptr);
-  bool Found = false;
-  for (const JsonValue &E : Events->Arr)
-    if (const JsonValue *Name = E.field("name"))
-      Found |= Name->Str == "we\"ird\\name\n";
-  EXPECT_TRUE(Found);
+  for (const std::string &In : Inputs) {
+    bool Found = false;
+    for (const JsonValue &E : Events->Arr)
+      if (const JsonValue *Name = E.field("name"))
+        Found |= Name->Str == In;
+    EXPECT_TRUE(Found) << In;
+    std::string Quoted = dmll::json::quote(In);
+    EXPECT_EQ(Quoted.find('\r'), std::string::npos) << In;
+    EXPECT_EQ(Quoted.find('\x01'), std::string::npos) << In;
+    JsonValue Back;
+    ASSERT_TRUE(parseJson(Quoted, Back)) << Quoted;
+    EXPECT_EQ(Back.Str, In);
+  }
 }
 
 TEST(Export, WriteChromeJsonToFile) {

@@ -1,7 +1,7 @@
 //===- tests/ProfTest.cpp - Profiling subsystem tests ----------*- C++ -*-===//
 //
-// Covers docs/PROFILING.md's contracts: CounterSample bracket arithmetic
-// and Hw-validity degradation, the per-thread counter probes, the
+// Covers docs/TELEMETRY.md's profile contracts: CounterSample bracket
+// arithmetic and Hw-validity degradation, the per-thread counter probes, the
 // process-wide metrics registry (instruments, bucketing, JSON export), the
 // work-stealing pool under a deliberately skewed load (steals rebalance,
 // busy/wait accounting stays within wall time), the sim-vs-measured
@@ -19,6 +19,7 @@
 #include "runtime/ProfileJson.h"
 #include "runtime/ThreadPool.h"
 #include "sim/Calibration.h"
+#include "support/Args.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
@@ -214,11 +215,19 @@ TEST(Metrics, RenderJsonRoundTripsAndResets) {
   EXPECT_EQ(Buckets->Arr[2].strField("le"), "inf");
   EXPECT_DOUBLE_EQ(Buckets->Arr[2].numField("count"), 2.0);
 
+  MetricCounter &Held = R.counter("exec.x");
+  uint64_t Gen = R.generation();
   R.reset();
+  EXPECT_EQ(R.generation(), Gen + 1);
   json::JValue Empty;
   ASSERT_TRUE(json::parse(R.renderJson(), Empty));
   EXPECT_TRUE(Empty.field("counters")->Obj.empty());
   EXPECT_TRUE(Empty.field("histograms")->Obj.empty());
+  // A reference resolved before the reset stays safe to update; the name
+  // repopulates with a fresh instrument on next use.
+  Held.inc();
+  EXPECT_EQ(Held.value(), 4);
+  EXPECT_EQ(R.counter("exec.x").value(), 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -446,11 +455,13 @@ TEST(ProfileJson, DocumentRoundTripsWithAllSections) {
 
 TEST(ProfileJson, ProfileArgPath) {
   const char *Argv1[] = {"quickstart", "--profile-out=/tmp/p.json"};
-  EXPECT_EQ(profileArgPath(2, const_cast<char **>(Argv1)), "/tmp/p.json");
+  EXPECT_EQ(flagValue(2, const_cast<char **>(Argv1), "profile-out"),
+            "/tmp/p.json");
   const char *Argv2[] = {"quickstart", "--profile-out", "p.json"};
-  EXPECT_EQ(profileArgPath(3, const_cast<char **>(Argv2)), "p.json");
+  EXPECT_EQ(flagValue(3, const_cast<char **>(Argv2), "profile-out"),
+            "p.json");
   const char *Argv3[] = {"quickstart", "--trace-out=t.json"};
-  EXPECT_EQ(profileArgPath(2, const_cast<char **>(Argv3)), "");
+  EXPECT_EQ(flagValue(2, const_cast<char **>(Argv3), "profile-out"), "");
 }
 
 } // namespace

@@ -66,6 +66,20 @@ std::string slurp(const std::string &Path) {
   return SS.str();
 }
 
+/// The parsed events of type \p Type in the dmll-events-v1 log at \p Path.
+std::vector<json::JValue> eventsOfType(const std::string &Path,
+                                       const std::string &Type) {
+  std::vector<json::JValue> Out;
+  std::istringstream In(slurp(Path));
+  std::string Line;
+  while (std::getline(In, Line)) {
+    json::JValue V;
+    if (json::parse(Line, V) && V.strField("type") == Type)
+      Out.push_back(std::move(V));
+  }
+  return Out;
+}
+
 //===----------------------------------------------------------------------===//
 // Metric name labels and Prometheus rendering.
 //===----------------------------------------------------------------------===//
@@ -184,13 +198,13 @@ TEST(EventLogTest, EmitsValidatableLog) {
     ASSERT_TRUE(Log.ok());
     EventLogActivation Act(Log);
     ASSERT_EQ(EventLog::active(), &Log);
-    Log.emit(EventKind::RunStart, {}, {EventLog::num("threads", 4)});
-    Log.emit(EventKind::LoopBegin, "Multiloop[Reduce]",
-             {EventLog::num("iters", 100)});
-    Log.emit(EventKind::LoopEnd, "Multiloop[Reduce]",
-             {EventLog::str("engine", "interp"),
-              EventLog::num("millis", 1.5)});
-    Log.emit(EventKind::RunStop, {}, {EventLog::num("millis", 2.0)});
+    Log.emit(EventKind::RunStart, EventLog::num("threads", 4));
+    Log.emit(EventKind::LoopBegin, EventLog::str("loop", "Multiloop[Reduce]") +
+                                       EventLog::num("iters", 100));
+    Log.emit(EventKind::LoopEnd, EventLog::str("loop", "Multiloop[Reduce]") +
+                                     EventLog::str("engine", "interp") +
+                                     EventLog::num("millis", 1.5));
+    Log.emit(EventKind::RunStop, EventLog::num("millis", 2.0));
   }
   EXPECT_EQ(EventLog::active(), nullptr);
 
@@ -357,6 +371,71 @@ TEST(EventLogTest, RealRunEmitsBalancedStream) {
   std::remove(Path.c_str());
 }
 
+TEST(EventLogTest, LoopEndMirrorsTheReportsLoopRecords) {
+  // loop.end and ExecutionReport::Loops render one record per closed-loop
+  // execution, so they agree line for line.
+  std::string Path = tmpPath("loopend");
+  ExecutionReport R;
+  {
+    EventLog Log(Path);
+    ASSERT_TRUE(Log.ok());
+    EventLogActivation Act(Log);
+    R = runOnce();
+  }
+  std::vector<json::JValue> Ends = eventsOfType(Path, "loop.end");
+  ASSERT_FALSE(R.Loops.empty());
+  ASSERT_EQ(Ends.size(), R.Loops.size());
+  for (size_t I = 0; I < Ends.size(); ++I) {
+    const LoopProfile &LP = R.Loops[I];
+    EXPECT_EQ(Ends[I].strField("loop"), LP.Loop);
+    EXPECT_EQ(Ends[I].strField("engine"), LP.Engine);
+    EXPECT_EQ(Ends[I].numField("iters", -1), static_cast<double>(LP.Iters));
+    EXPECT_EQ(Ends[I].numField("threads", -1), LP.Threads);
+    const json::JValue *Tuned = Ends[I].field("tuned");
+    ASSERT_NE(Tuned, nullptr);
+    EXPECT_EQ(Tuned->K, json::JValue::Bool);
+    EXPECT_EQ(Tuned->B, LP.Tuned);
+    EXPECT_NE(Ends[I].field("counters"), nullptr)
+        << "a run with a Profile sink measures counters";
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(EventLogTest, WarmFallbackLoopEndCarriesTheReason) {
+  // The outer loop's value is a loop-varying inner loop, which the kernel
+  // compiler rejects. The second run adopts that outcome from the cross-run
+  // cache without compiling, and its loop.end still says why.
+  ProgramBuilder B;
+  Val N = B.inI64("n");
+  Program P = B.build(tabulate(N, [](Val I) {
+    return sum(tabulate(I + Val(int64_t(1)), [](Val J) { return J * J; }));
+  }));
+  InputMap In{{"n", Value(int64_t(40))}};
+  std::string Path = tmpPath("warmfallback");
+  {
+    EventLog Log(Path);
+    ASSERT_TRUE(Log.ok());
+    EventLogActivation Act(Log);
+    KernelReuseCache Reuse;
+    EvalOptions EO;
+    EO.Mode = engine::EngineMode::Kernel;
+    EO.KernelReuse = &Reuse;
+    testutil::evalOk(P, In, EO);
+    testutil::evalOk(P, In, EO);
+  }
+  std::vector<json::JValue> Fallbacks = eventsOfType(Path, "engine.fallback");
+  ASSERT_EQ(Fallbacks.size(), 1u) << "only the cold run compiles";
+  std::string Reason = Fallbacks[0].strField("reason");
+  ASSERT_FALSE(Reason.empty());
+  std::vector<json::JValue> Ends = eventsOfType(Path, "loop.end");
+  ASSERT_EQ(Ends.size(), 2u);
+  for (const json::JValue &End : Ends) {
+    EXPECT_EQ(End.strField("engine"), "interp");
+    EXPECT_EQ(End.strField("fallback"), Reason);
+  }
+  std::remove(Path.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Sampling profiler.
 //===----------------------------------------------------------------------===//
@@ -473,19 +552,41 @@ TEST(TelemetryReport, ProfileJsonCarriesSamplingSection) {
 }
 
 TEST(TelemetryReport, PerLoopSeriesLandInGlobalRegistry) {
+  MetricsRegistry &Reg = MetricsRegistry::global();
+  auto HasLoopSeries = [&] {
+    for (const auto &[Name, H] : Reg.snapshot().Histograms)
+      if (Name.rfind("exec.loop_ms|loop=", 0) == 0 && H.Count > 0)
+        return true;
+    return false;
+  };
   (void)runOnce();
-  MetricsSnapshot S = MetricsRegistry::global().snapshot();
-  bool FoundLoopSeries = false;
-  for (const auto &[Name, H] : S.Histograms) {
-    (void)H;
-    if (Name.rfind("exec.loop_ms|loop=", 0) == 0)
-      FoundLoopSeries = true;
-  }
-  EXPECT_TRUE(FoundLoopSeries)
-      << "no exec.loop_ms|loop=... series after a run";
+  EXPECT_TRUE(HasLoopSeries()) << "no exec.loop_ms|loop=... series after a run";
   std::string Text = renderPrometheus();
   EXPECT_NE(Text.find("dmll_exec_loop_ms_bucket{"), std::string::npos);
   EXPECT_TRUE(checkPrometheus(Text).empty());
+  // The loop telemetry caches its metric handles per signature; after a
+  // registry reset they re-resolve, so the series come back.
+  Reg.reset();
+  (void)runOnce();
+  EXPECT_TRUE(HasLoopSeries()) << "per-loop series lost after a reset";
+
+  // exec.loops counts every closed-loop execution, with or without a
+  // Profile sink (a daemon request passes none): the same program counts
+  // as many loops either way, and as many as the profile records.
+  InputMap Inputs;
+  Program P = testutil::meanOfSquares(Inputs);
+  EvalOptions EO;
+  EO.Threads = 1;
+  int64_t Before = Reg.counter("exec.loops").value();
+  testutil::evalOk(P, Inputs, EO);
+  int64_t Unprofiled = Reg.counter("exec.loops").value() - Before;
+  ExecProfile Prof;
+  EO.Profile = &Prof;
+  Before = Reg.counter("exec.loops").value();
+  testutil::evalOk(P, Inputs, EO);
+  EXPECT_GT(Unprofiled, 0);
+  EXPECT_EQ(Unprofiled, Reg.counter("exec.loops").value() - Before);
+  EXPECT_EQ(Unprofiled, static_cast<int64_t>(Prof.Loops.size()));
 }
 
 //===----------------------------------------------------------------------===//

@@ -225,8 +225,8 @@ TEST(TuneIntegrationTest, TuneProgramProducesConsistentArtifact) {
   Program P = meanOfSquares();
   InputMap In = smallInputs(4000);
   TuneOptions Opts;
-  Opts.Threads = 2;
-  Opts.MinChunk = 64;
+  Opts.Exec.Threads = 2;
+  Opts.Exec.MinChunk = 64;
   Opts.Rounds = 1;
   TuningProfile TP = tuneProgram("unit", P, In, Opts);
   EXPECT_EQ(TP.App, "unit");
@@ -242,10 +242,7 @@ TEST(TuneIntegrationTest, TuneProgramProducesConsistentArtifact) {
   ASSERT_TRUE(parseTuningProfile(R, Back));
   EXPECT_EQ(renderTuningProfile(Back), R);
   // Replaying the decisions reproduces the untuned result exactly.
-  ExecOptions E;
-  E.Threads = Opts.Threads;
-  E.MinChunk = Opts.MinChunk;
-  E.Mode = Opts.Mode;
+  ExecOptions E = Opts.Exec;
   CompileOptions CO;
   ExecutionReport R0 = executeProgram(P, In, CO, E);
   DecisionTable T = TP.decisions();

@@ -28,8 +28,6 @@ set(REGISTERED_DOCS
   CODEGEN.md
   EXECUTION.md
   FUZZING.md
-  OBSERVABILITY.md
-  PROFILING.md
   ROBUSTNESS.md
   SERVICE.md
   TELEMETRY.md

@@ -7,7 +7,7 @@
 // records (bench/bench_json.h) — and exits nonzero when any shared entry
 // got slower than an allowed ratio. tools/run_benchmarks.sh --check and the
 // perf_smoke ctest use it to gate fresh runs against the committed
-// BENCH_perf.json; docs/PROFILING.md documents the workflow.
+// BENCH_perf.json; docs/TELEMETRY.md documents the workflow.
 //
 //   dmll-prof [options] BASELINE.json CURRENT.json
 //   dmll-prof --check [options] CURRENT.json      (baseline: BENCH_perf.json)

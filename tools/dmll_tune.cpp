@@ -33,6 +33,7 @@
 
 #include "runtime/Executor.h"
 #include "service/Catalog.h"
+#include "support/Args.h"
 #include "support/Table.h"
 #include "tune/Tuner.h"
 
@@ -123,9 +124,9 @@ int main(int Argc, char **Argv) {
   int64_t MinChunk = 1024, Scale = 1;
   int Rounds = 3;
   bool Smoke = false, Suite = false, List = false;
-  std::string TuneOut = tune::tuneArgPath(Argc, Argv, "tune-out");
-  std::string TuneIn = tune::tuneArgPath(Argc, Argv, "tune-in");
-  std::string BenchOut = tune::tuneArgPath(Argc, Argv, "bench-out");
+  std::string TuneOut = flagValue(Argc, Argv, "tune-out");
+  std::string TuneIn = flagValue(Argc, Argv, "tune-in");
+  std::string BenchOut = flagValue(Argc, Argv, "bench-out");
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
     auto Next = [&](int64_t &Out) {
@@ -154,10 +155,10 @@ int main(int Argc, char **Argv) {
     else if (A == "--list")
       List = true;
     else if (A == "--tune-out" || A == "--tune-in" || A == "--bench-out")
-      ++I; // consumed by tuneArgPath
+      ++I; // consumed by flagValue
     else if (A.rfind("--tune-out=", 0) == 0 || A.rfind("--tune-in=", 0) == 0 ||
              A.rfind("--bench-out=", 0) == 0)
-      ; // consumed by tuneArgPath
+      ; // consumed by flagValue
     else
       return usage();
   }
@@ -170,16 +171,14 @@ int main(int Argc, char **Argv) {
   if (!Suite && App.empty())
     return usage();
 
-  tune::TuneOptions Opts;
-  Opts.Threads = Threads;
-  Opts.MinChunk = MinChunk;
-  Opts.Mode = engine::parseEngineMode(EngineName);
-  Opts.Rounds = Rounds;
-
   ExecOptions Exec;
   Exec.Threads = Threads;
-  Exec.Mode = Opts.Mode;
+  Exec.Mode = engine::parseEngineMode(EngineName);
   Exec.MinChunk = MinChunk;
+
+  tune::TuneOptions Opts;
+  Opts.Exec = Exec;
+  Opts.Rounds = Rounds;
 
   if (Suite) {
     // Tune every app; emit a tuned_multithread record set (untuned vs

@@ -42,7 +42,7 @@
 # not touched in this mode.
 #
 # The record format is documented in bench/bench_json.h; the engine design
-# in docs/EXECUTION.md; the gate workflow in docs/PROFILING.md.
+# in docs/EXECUTION.md; the gate workflow in docs/TELEMETRY.md.
 
 set -eu
 
