@@ -401,7 +401,8 @@ void execRange(const Kernel &K, int32_t Begin, int32_t End, Regs &R,
           break;
         }
       } else {
-        auto [It, Inserted] = G.KeyIndex.emplace(Key, G.KeysInOrder.size());
+        auto [It, Inserted] =
+            G.KeyIndex.try_emplace(Key, G.KeysInOrder.size());
         if (Inserted) {
           G.KeysInOrder.push_back(Key);
           switch (P.ValKind) {
@@ -498,7 +499,8 @@ void execRange(const Kernel &K, int32_t Begin, int32_t End, Regs &R,
         if (First)
           G.DHas[Slot] = 1;
       } else {
-        auto [It, Inserted] = G.KeyIndex.emplace(Key, G.KeysInOrder.size());
+        auto [It, Inserted] =
+            G.KeyIndex.try_emplace(Key, G.KeysInOrder.size());
         First = Inserted;
         if (Inserted) {
           G.KeysInOrder.push_back(Key);
@@ -1008,7 +1010,8 @@ void mergeChunk(const Kernel &K, std::vector<ChunkGen> &A,
       } else {
         for (size_t BK = 0; BK < GB.KeysInOrder.size(); ++BK) {
           int64_t Key = GB.KeysInOrder[BK];
-          auto [It, Inserted] = GA.KeyIndex.emplace(Key, GA.KeysInOrder.size());
+          auto [It, Inserted] =
+              GA.KeyIndex.try_emplace(Key, GA.KeysInOrder.size());
           if (Inserted) {
             GA.KeysInOrder.push_back(Key);
             switch (P.ValKind) {
@@ -1078,7 +1081,8 @@ void mergeChunk(const Kernel &K, std::vector<ChunkGen> &A,
       } else {
         for (size_t BK = 0; BK < GB.KeysInOrder.size(); ++BK) {
           int64_t Key = GB.KeysInOrder[BK];
-          auto [It, Inserted] = GA.KeyIndex.emplace(Key, GA.KeysInOrder.size());
+          auto [It, Inserted] =
+              GA.KeyIndex.try_emplace(Key, GA.KeysInOrder.size());
           if (Inserted) {
             GA.KeysInOrder.push_back(Key);
             switch (P.ValKind) {

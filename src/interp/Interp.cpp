@@ -14,23 +14,28 @@
 #include "runtime/ThreadPool.h"
 #include "support/Error.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_set>
 
 using namespace dmll;
 
 namespace {
 
-/// A lexical scope: a handful of symbol bindings plus a memo table for
-/// expensive nodes whose innermost free symbol is bound here.
+using Binding = std::pair<uint64_t, Value>;
+
+/// A lexical scope: a view of symbol bindings that its creator holds, plus
+/// a memo table for expensive nodes whose innermost free symbol is bound
+/// here. Neither allocates until something is memoized.
 struct Scope {
   Scope *Parent = nullptr;
-  std::vector<std::pair<uint64_t, Value>> Bindings;
+  std::span<const Binding> Bindings;
   std::unordered_map<const Expr *, Value> Memo;
 
   bool binds(uint64_t Id) const {
@@ -64,7 +69,10 @@ public:
         Profile(Opts.Profile), Mode(Opts.Mode),
         WideKernels(Opts.WideKernels), KStats(Opts.Kernels),
         Tuning(Opts.Tuning && !Opts.Tuning->empty() ? Opts.Tuning : nullptr),
-        Pool(Pool), Control(Control), Reuse(Opts.KernelReuse) {}
+        Pool(Pool), Control(Control), Reuse(Opts.KernelReuse) {
+    if (Profile)
+      OwnShared.Loops = &Profile->Loops;
+  }
 
   Value evalTop(const ExprRef &E) {
     Scope Global;
@@ -91,19 +99,32 @@ private:
   struct KernelEntry : KernelReuseCache::Entry {
     size_t TimingIdx = 0; ///< index into KStats->Kernels
   };
-  /// The kernel cache plus the lock guarding it and KStats. Shared with
-  /// the chunk-worker sub-evaluators so a nested closed loop resolves to
-  /// the same engine (and records its compile outcome exactly once)
-  /// whether the enclosing loop ran sequentially or chunked — engine
-  /// choice must not depend on the thread count.
-  struct KernelState {
+  /// A closed Multiloop or Flatten result, computed once per run under M.
+  /// A trap leaves Done unset, so the next reader re-raises it. Not
+  /// std::call_once: under ThreadSanitizer a call that throws leaves the
+  /// flag's waiters blocked for good.
+  struct ClosedResult {
+    std::mutex M;
+    bool Done = false;
+    Value V;
+  };
+  /// Run state shared with the chunk-worker sub-evaluators: the kernel
+  /// cache, closed-node results and the profile's loop records. M guards
+  /// the maps, the records and KStats; each ClosedResult has its own lock.
+  /// Sharing them makes a nested closed loop pick the same engine
+  /// (recording its compile outcome once), run once and report once
+  /// whether the enclosing loop ran sequentially or chunked — none of that
+  /// may depend on the thread count.
+  struct SharedState {
     std::mutex M;
     std::unordered_map<const Expr *, KernelEntry> Compiled;
+    std::unordered_map<const Expr *, ClosedResult> Closed;
+    std::vector<LoopProfile> *Loops = nullptr; ///< null without a Profile
   };
-  KernelState OwnKernels;
-  KernelState *Kernels = &OwnKernels;
+  SharedState OwnShared;
+  SharedState *Shared = &OwnShared;
   /// Optional cross-run kernel cache (EvalOptions::KernelReuse); consulted
-  /// and fed under Kernels->M, so the lock order is always run-local state
+  /// and fed under Shared->M, so the lock order is always run-local state
   /// first, then the shared cache.
   KernelReuseCache *Reuse = nullptr;
   engine::ColumnCache Columns;
@@ -134,24 +155,11 @@ private:
     return *Cur;
   }
 
-  Value applyUnary(const Func &F, int64_t Index, Scope &S) {
-    Scope Child;
-    Child.Parent = &S;
-    Child.Bindings.emplace_back(F.Params[0]->id(), Value(Index));
-    return eval(F.Body, Child);
-  }
-
-  bool evalCond(const Func &Cond, int64_t Index, Scope &S) {
-    if (!Cond.isSet())
-      return true;
-    return applyUnary(Cond, Index, S).asBool();
-  }
-
-  Value applyReduce(const Func &R, const Value &A, const Value &B, Scope &S) {
-    Scope Child;
-    Child.Parent = &S;
-    Child.Bindings.emplace_back(R.Params[0]->id(), A);
-    Child.Bindings.emplace_back(R.Params[1]->id(), B);
+  /// Callers move the accumulator in and assign the result back to it.
+  Value applyReduce(const Func &R, Value A, Value B, Scope &S) {
+    const Binding Args[] = {{R.Params[0]->id(), std::move(A)},
+                            {R.Params[1]->id(), std::move(B)}};
+    Scope Child{&S, Args, {}};
     return eval(R.Body, Child);
   }
 
@@ -227,15 +235,28 @@ private:
       SinceCheck = 0;
       PendingElems = 0;
     };
+    // One scope per iteration binds the index parameter of every
+    // generator's cond, key and value (fused generators share one), so a
+    // loop-varying subexpression that several parts read is memoized once
+    // per iteration. The bindings are overwritten in place.
+    std::vector<Binding> Index;
+    for (const Generator &Gen : ML->gens())
+      for (const Func *F : {&Gen.Cond, &Gen.Key, &Gen.Value})
+        if (F->isSet() &&
+            std::ranges::count(Index, F->Params[0]->id(), &Binding::first) == 0)
+          Index.emplace_back(F->Params[0]->id(), Value());
     for (int64_t I = Begin; I < End; ++I) {
       if (++SinceCheck >= CheckpointInterval)
         Flush();
+      for (Binding &B : Index)
+        B.second = Value(I);
+      Scope Iter{&S, Index, {}};
       for (size_t G = 0; G < ML->numGens(); ++G) {
         const Generator &Gen = ML->gen(G);
         GenState &St = States[G];
-        if (!evalCond(Gen.Cond, I, S))
+        if (Gen.Cond.isSet() && !eval(Gen.Cond.Body, Iter).asBool())
           continue;
-        Value V = applyUnary(Gen.Value, I, S);
+        Value V = eval(Gen.Value.Body, Iter);
         switch (Gen.Kind) {
         case GenKind::Collect:
           ++PendingElems;
@@ -246,13 +267,14 @@ private:
             St.Acc = std::move(V);
             St.HasAcc = true;
           } else {
-            St.Acc = applyReduce(Gen.Reduce, St.Acc, V, S);
+            St.Acc = applyReduce(Gen.Reduce, std::move(St.Acc), std::move(V),
+                                 S);
           }
           break;
         case GenKind::BucketCollect:
         case GenKind::BucketReduce: {
           ++PendingElems;
-          int64_t Key = applyUnary(Gen.Key, I, S).toInt();
+          int64_t Key = eval(Gen.Key.Body, Iter).toInt();
           if (Gen.NumKeys) {
             if (Key < 0 || Key >= St.NumKeys)
               trap("dense bucket key " + std::to_string(Key) +
@@ -264,11 +286,12 @@ private:
               St.DenseVals[K] = std::move(V);
               St.DenseHas[K] = 1;
             } else {
-              St.DenseVals[K] = applyReduce(Gen.Reduce, St.DenseVals[K], V, S);
+              St.DenseVals[K] = applyReduce(
+                  Gen.Reduce, std::move(St.DenseVals[K]), std::move(V), S);
             }
           } else {
             auto [It, Inserted] =
-                St.KeyIndex.emplace(Key, St.KeysInOrder.size());
+                St.KeyIndex.try_emplace(Key, St.KeysInOrder.size());
             if (Inserted) {
               St.KeysInOrder.push_back(Key);
               if (Gen.Kind == GenKind::BucketCollect)
@@ -282,7 +305,8 @@ private:
             } else if (Inserted) {
               St.HashVals[K] = std::move(V);
             } else {
-              St.HashVals[K] = applyReduce(Gen.Reduce, St.HashVals[K], V, S);
+              St.HashVals[K] = applyReduce(
+                  Gen.Reduce, std::move(St.HashVals[K]), std::move(V), S);
             }
           }
           break;
@@ -312,7 +336,8 @@ private:
           A.Acc = std::move(B.Acc);
           A.HasAcc = B.HasAcc;
         } else if (B.HasAcc) {
-          A.Acc = applyReduce(Gen.Reduce, A.Acc, B.Acc, S);
+          A.Acc =
+              applyReduce(Gen.Reduce, std::move(A.Acc), std::move(B.Acc), S);
         }
         break;
       case GenKind::BucketCollect:
@@ -330,14 +355,16 @@ private:
                 A.DenseHas[K] = 1;
               } else {
                 A.DenseVals[K] =
-                    applyReduce(Gen.Reduce, A.DenseVals[K], B.DenseVals[K], S);
+                    applyReduce(Gen.Reduce, std::move(A.DenseVals[K]),
+                                std::move(B.DenseVals[K]), S);
               }
             }
           }
         } else {
           for (size_t BK = 0; BK < B.KeysInOrder.size(); ++BK) {
             int64_t Key = B.KeysInOrder[BK];
-            auto [It, Inserted] = A.KeyIndex.emplace(Key, A.KeysInOrder.size());
+            auto [It, Inserted] =
+                A.KeyIndex.try_emplace(Key, A.KeysInOrder.size());
             if (Inserted) {
               A.KeysInOrder.push_back(Key);
               if (Gen.Kind == GenKind::BucketCollect)
@@ -354,7 +381,8 @@ private:
                   std::make_move_iterator(B.HashColl[BK].end()));
             else
               A.HashVals[K] =
-                  applyReduce(Gen.Reduce, A.HashVals[K], B.HashVals[BK], S);
+                  applyReduce(Gen.Reduce, std::move(A.HashVals[K]),
+                              std::move(B.HashVals[BK]), S);
           }
         }
         break;
@@ -409,12 +437,12 @@ private:
   }
 
   /// Looks up (or compiles) the kernel for multiloop \p E, recording stats
-  /// and the fallback reason on failure. Caller must hold Kernels->M; the
+  /// and the fallback reason on failure. Caller must hold Shared->M; the
   /// returned reference stays valid after unlocking (unordered_map never
   /// invalidates element references on insert).
   KernelEntry &kernelFor(const ExprRef &E) {
-    auto It = Kernels->Compiled.find(E.get());
-    if (It != Kernels->Compiled.end())
+    auto It = Shared->Compiled.find(E.get());
+    if (It != Shared->Compiled.end())
       return It->second;
     KernelEntry Entry;
     // Cross-run cache (service/Serve.h): a previous run of this Program
@@ -464,7 +492,7 @@ private:
       ++KStats->FallbackLoops;
       KStats->Fallbacks.push_back(loopSignature(E) + ": " + Entry.Reason);
     }
-    return Kernels->Compiled.emplace(E.get(), std::move(Entry)).first->second;
+    return Shared->Compiled.emplace(E.get(), std::move(Entry)).first->second;
   }
 
   /// Attempts kernel execution of closed multiloop \p E with \p Rec's
@@ -478,7 +506,7 @@ private:
     std::shared_ptr<const engine::Kernel> K;
     size_t TimingIdx = 0;
     {
-      std::lock_guard<std::mutex> Lock(Kernels->M);
+      std::lock_guard<std::mutex> Lock(Shared->M);
       KernelEntry &Entry = kernelFor(E);
       K = Entry.K;
       TimingIdx = Entry.TimingIdx;
@@ -487,7 +515,7 @@ private:
     }
     auto Fallback = [&] {
       if (KStats) {
-        std::lock_guard<std::mutex> Lock(Kernels->M);
+        std::lock_guard<std::mutex> Lock(Shared->M);
         ++KStats->FallbackRuns;
       }
       return false;
@@ -515,7 +543,7 @@ private:
     }
     Rec.Engine = "kernel";
     if (KStats) {
-      std::lock_guard<std::mutex> Lock(Kernels->M);
+      std::lock_guard<std::mutex> Lock(Shared->M);
       ++KStats->Launches;
       engine::KernelTiming &T = KStats->Kernels[TimingIdx];
       ++T.Launches;
@@ -572,13 +600,13 @@ private:
           SampleScope ChunkSample("exec.chunk", SampleName);
           for (int64_t C = CB; C < CE; ++C) {
             Evaluator Sub(Inputs);
-            // Nested loops inside a chunk must pick their engine the
-            // same way the sequential path would: same mode, same
-            // kernel cache (so compile outcomes record once), same
-            // stats sink. Only the parallelism stays chunk-local.
+            // Nested loops inside a chunk must run the way the
+            // sequential path would: same mode, same shared state (so
+            // a nested closed loop compiles, runs and reports once),
+            // same stats sink. Only the parallelism stays chunk-local.
             Sub.Mode = Mode;
             Sub.KStats = KStats;
-            Sub.Kernels = Kernels;
+            Sub.Shared = Shared;
             Sub.Reuse = Reuse;
             Sub.Tuning = Tuning;
             Sub.Control = Control;
@@ -607,8 +635,9 @@ private:
     return finish(ML, States);
   }
 
-  // Kept out of line: inlined into the recursive eval(), the loop record
-  // and its observation would enlarge the frame of every eval() call.
+  // Kept out of line: inlined into memoized(), which every nested loop's
+  // recursion passes through, the loop record and its observation would
+  // enlarge that frame.
   [[gnu::noinline]] Value evalMultiloop(const ExprRef &E,
                                         const MultiloopExpr *ML, Scope &S) {
     int64_t N = eval(ML->size(), S).toInt();
@@ -658,9 +687,105 @@ private:
     if (!WantKernel || !tryKernel(E, S, Result, Rec, Measure, Obs.sampleName()))
       Result = interpLoop(ML, S, Rec, Obs.sampleName());
     Obs.close();
-    if (Profile)
-      Profile->Loops.push_back(std::move(Rec));
+    if (Shared->Loops) {
+      std::lock_guard<std::mutex> Lock(Shared->M);
+      Shared->Loops->push_back(std::move(Rec));
+    }
     return Result;
+  }
+
+  /// Computes Multiloop or Flatten node \p E; memoized() caches it.
+  Value compute(const ExprRef &E, Scope &S) {
+    if (const auto *F = dyn_cast<FlattenExpr>(E)) {
+      Value Tmp;
+      ArrayData Out;
+      for (const Value &Inner : *evalRef(F->array(), S, Tmp).array())
+        for (const Value &V : *Inner.array())
+          Out.push_back(V);
+      return Value::makeArray(std::move(Out));
+    }
+    try {
+      return evalMultiloop(E, cast<MultiloopExpr>(E), S);
+    } catch (TrapError &Err) {
+      // Attribute the trap to the innermost *closed* loop it unwound
+      // from (the unit telemetry and tuning key on); the innermost
+      // catch wins because it stamps first.
+      if (Err.loop().empty() && freeOf(E).empty())
+        Err.setLoop(loopSignature(E));
+      throw;
+    }
+  }
+
+  /// \p E's value, memoized in the innermost scope binding one of its free
+  /// symbols. A closed node is computed once per run under its latch in
+  /// Shared, which the chunk sub-evaluators share, and then copied into
+  /// this evaluator's root scope.
+  [[gnu::noinline]] const Value &memoized(const ExprRef &E, Scope &S) {
+    Scope &MS = memoScope(E, S);
+    auto It = MS.Memo.find(E.get());
+    if (It != MS.Memo.end())
+      return It->second;
+    if (!freeOf(E).empty())
+      return MS.Memo.emplace(E.get(), compute(E, S)).first->second;
+    ClosedResult *Slot;
+    {
+      std::lock_guard<std::mutex> Lock(Shared->M);
+      Slot = &Shared->Closed[E.get()];
+    }
+    std::lock_guard<std::mutex> Lock(Slot->M);
+    if (!Slot->Done) {
+      Slot->V = compute(E, S);
+      Slot->Done = true;
+    }
+    return MS.Memo.emplace(E.get(), Slot->V).first->second;
+  }
+
+  /// \p E's value by reference when it already lives somewhere stable — a
+  /// binding, an input, a memo entry, or an element or field of one — and
+  /// evaluated into \p Tmp otherwise (a projection then refers into Tmp),
+  /// so reading an array or a struct copies no handle. The one lookup path
+  /// of the node kinds it names.
+  const Value &evalRef(const ExprRef &E, Scope &S, Value &Tmp) {
+    switch (E->kind()) {
+    case ExprKind::Sym: {
+      const auto *Sym = cast<SymExpr>(E);
+      if (const Value *V = S.lookup(Sym->id()))
+        return *V;
+      trap("unbound symbol " + Sym->name() + std::to_string(Sym->id()));
+    }
+    case ExprKind::Input: {
+      const auto *In = cast<InputExpr>(E);
+      auto It = Inputs.find(In->name());
+      if (It == Inputs.end())
+        trap("no binding for input '" + In->name() + "'");
+      return It->second;
+    }
+    case ExprKind::Multiloop:
+    case ExprKind::Flatten:
+      return memoized(E, S);
+    case ExprKind::ArrayRead: {
+      const auto *R = cast<ArrayReadExpr>(E);
+      const Value &Arr = evalRef(R->array(), S, Tmp);
+      int64_t Idx = eval(R->index(), S).toInt();
+      if (Idx < 0 || static_cast<size_t>(Idx) >= Arr.arraySize())
+        trap("array read out of range: index " + std::to_string(Idx) +
+             ", size " + std::to_string(Arr.arraySize()));
+      return Arr.at(static_cast<size_t>(Idx));
+    }
+    case ExprKind::GetField: {
+      const auto *G = cast<GetFieldExpr>(E);
+      int Idx = G->base()->type()->fieldIndex(G->field());
+      assert(Idx >= 0 && "field checked at construction");
+      const Value &Base = evalRef(G->base(), S, Tmp);
+      return Base.strct()->Fields[static_cast<size_t>(Idx)];
+    }
+    case ExprKind::LoopOut: {
+      const auto *LO = cast<LoopOutExpr>(E);
+      return evalRef(LO->loop(), S, Tmp).strct()->Fields[LO->index()];
+    }
+    default:
+      return Tmp = eval(E, S);
+    }
   }
 
   Value evalBinOp(const BinOpExpr *B, Scope &S) {
@@ -780,18 +905,15 @@ private:
       return Value(cast<ConstFloatExpr>(E)->value());
     case ExprKind::ConstBool:
       return Value(cast<ConstBoolExpr>(E)->value());
-    case ExprKind::Sym: {
-      const auto *Sym = cast<SymExpr>(E);
-      if (const Value *V = S.lookup(Sym->id()))
-        return *V;
-      trap("unbound symbol " + Sym->name() + std::to_string(Sym->id()));
-    }
-    case ExprKind::Input: {
-      const auto *In = cast<InputExpr>(E);
-      auto It = Inputs.find(In->name());
-      if (It == Inputs.end())
-        trap("no binding for input '" + In->name() + "'");
-      return It->second;
+    case ExprKind::Sym:
+    case ExprKind::Input:
+    case ExprKind::Flatten:
+    case ExprKind::Multiloop:
+    case ExprKind::ArrayRead:
+    case ExprKind::GetField:
+    case ExprKind::LoopOut: {
+      Value Tmp;
+      return evalRef(E, S, Tmp);
     }
     case ExprKind::BinOp:
       return evalBinOp(cast<BinOpExpr>(E), S);
@@ -812,68 +934,16 @@ private:
         return Value(A.toInt());
       return Value(A.toDouble() != 0.0);
     }
-    case ExprKind::ArrayRead: {
-      const auto *R = cast<ArrayReadExpr>(E);
-      Value Arr = eval(R->array(), S);
-      int64_t Idx = eval(R->index(), S).toInt();
-      if (Idx < 0 || static_cast<size_t>(Idx) >= Arr.arraySize())
-        trap("array read out of range: index " + std::to_string(Idx) +
-             ", size " + std::to_string(Arr.arraySize()));
-      return Arr.at(static_cast<size_t>(Idx));
-    }
-    case ExprKind::ArrayLen:
+    case ExprKind::ArrayLen: {
+      Value Tmp;
       return Value(static_cast<int64_t>(
-          eval(cast<ArrayLenExpr>(E)->array(), S).arraySize()));
-    case ExprKind::Flatten: {
-      Scope &MS = memoScope(E, S);
-      auto It = MS.Memo.find(E.get());
-      if (It != MS.Memo.end())
-        return It->second;
-      Value Arr = eval(cast<FlattenExpr>(E)->array(), S);
-      ArrayData Out;
-      for (const Value &Inner : *Arr.array())
-        for (const Value &V : *Inner.array())
-          Out.push_back(V);
-      Value Result = Value::makeArray(std::move(Out));
-      MS.Memo.emplace(E.get(), Result);
-      return Result;
+          evalRef(cast<ArrayLenExpr>(E)->array(), S, Tmp).arraySize()));
     }
     case ExprKind::MakeStruct: {
       std::vector<Value> Fields;
       for (const ExprRef &Op : E->ops())
         Fields.push_back(eval(Op, S));
       return Value::makeStruct(std::move(Fields));
-    }
-    case ExprKind::GetField: {
-      const auto *G = cast<GetFieldExpr>(E);
-      Value Base = eval(G->base(), S);
-      int Idx = G->base()->type()->fieldIndex(G->field());
-      assert(Idx >= 0 && "field checked at construction");
-      return Base.strct()->Fields[static_cast<size_t>(Idx)];
-    }
-    case ExprKind::Multiloop: {
-      Scope &MS = memoScope(E, S);
-      auto It = MS.Memo.find(E.get());
-      if (It != MS.Memo.end())
-        return It->second;
-      Value Result;
-      try {
-        Result = evalMultiloop(E, cast<MultiloopExpr>(E), S);
-      } catch (TrapError &Err) {
-        // Attribute the trap to the innermost *closed* loop it unwound
-        // from (the unit telemetry and tuning key on); the innermost
-        // catch wins because it stamps first.
-        if (Err.loop().empty() && freeOf(E).empty())
-          Err.setLoop(loopSignature(E));
-        throw;
-      }
-      MS.Memo.emplace(E.get(), Result);
-      return Result;
-    }
-    case ExprKind::LoopOut: {
-      const auto *LO = cast<LoopOutExpr>(E);
-      Value Loop = eval(LO->loop(), S);
-      return Loop.strct()->Fields[LO->index()];
     }
     }
     dmllUnreachable("bad ExprKind");

@@ -14,9 +14,14 @@
 ///    reference implementations replicate this.
 ///  * Select is lazy (only the chosen arm is evaluated); And/Or evaluate
 ///    both operands (generator conditions are pure).
+///  * One iteration's conds, keys and values, across all generators of a
+///    multiloop, share one scope that binds the index, and a false cond
+///    still skips its generator's value and key.
 ///  * Multiloop and Flatten results are memoized in the innermost scope that
 ///    binds one of their free symbols, so a loop shared by several consumers
-///    executes once and loop-invariant inner loops are hoisted implicitly.
+///    executes once per iteration and loop-invariant inner loops are hoisted
+///    implicitly; a closed one executes once per run, even when the loops
+///    around it run chunked.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -110,6 +110,38 @@ TEST(InterpTest, LazySelectGuardsDivision) {
   EXPECT_EQ(Out.asInt(), 0);
 }
 
+TEST(InterpTest, FalseCondSkipsItsGeneratorInTheSharedScope) {
+  // One loop, one index i: gen 0's cond xs(i) != 0 guards 100 / xs(i); gen
+  // 1 reads xs(i) unconditionally. The parts share one scope per iteration,
+  // and a false cond must still skip its generator's value.
+  ProgramBuilder B;
+  Val Xs = B.inVecI64("xs");
+  SymRef I = freshSym("i", Type::i64());
+  Val XsV = Xs, IV = I;
+  auto Sum = [](ExprRef A, ExprRef C) { return binop(BinOpKind::Add, A, C); };
+  Generator Quot, Total;
+  Quot.Kind = Total.Kind = GenKind::Reduce;
+  Quot.Cond = Func({I}, (XsV(IV) != Val(int64_t(0))).expr());
+  Quot.Value = Func({I}, (Val(int64_t(100)) / XsV(IV)).expr());
+  Quot.Reduce = binFunc("q", Type::i64(), Sum);
+  Total.Cond = trueCond();
+  Total.Value = Func({I}, XsV(IV).expr());
+  Total.Reduce = binFunc("t", Type::i64(), Sum);
+  Program P = B.build(multiloop(Xs.len().expr(), {Quot, Total}));
+  std::vector<int64_t> Data(64, 5);
+  Data[3] = Data[40] = 0;
+  InputMap In{{"xs", Value::arrayOfInts(Data)}};
+  for (unsigned Threads : {1u, 4u}) {
+    EvalOptions EO;
+    EO.Threads = Threads;
+    EO.MinChunk = 4;
+    ExecResult R = evalProgramRecover(P, In, EO);
+    ASSERT_TRUE(R.ok()) << Threads << " threads: " << R.TrapMessage;
+    EXPECT_EQ(R.Out.strct()->Fields[0].asInt(), 62 * 20);
+    EXPECT_EQ(R.Out.strct()->Fields[1].asInt(), 62 * 5);
+  }
+}
+
 TEST(InterpTest, FlattenConcatenates) {
   ProgramBuilder B;
   Val Xs = B.inVecF64("xs");

@@ -205,6 +205,44 @@ TEST(RecoverTest, IterationBudgetExceeded) {
   }
 }
 
+TEST(RecoverTest, SharedIterationScopeChargesAnInnerLoopOnce) {
+  // Two Reduce generators over one index i: gen 0's cond and value and gen
+  // 1's value all read the open inner loop sum_j xs(j) * i. One scope per
+  // iteration evaluates it once per i, so the run charges 8 + 8 * 100 = 808
+  // iterations; evaluating it once per part would charge 2,408.
+  ProgramBuilder B;
+  Val Xs = B.inVecI64("xs");
+  SymRef I = freshSym("i", Type::i64());
+  Val XsV = Xs, IV = I;
+  Val Inner = sumRange(Val(int64_t(100)), [&](Val J) { return XsV(J) * IV; });
+  auto Gen = [&](Val Cond, Val V) {
+    Generator G;
+    G.Kind = GenKind::Reduce;
+    G.Cond = Func({I}, Cond.expr());
+    G.Value = Func({I}, V.expr());
+    G.Reduce = binFunc("r", Type::i64(), [](ExprRef A, ExprRef C) {
+      return binop(BinOpKind::Add, A, C);
+    });
+    return G;
+  };
+  Program P = B.build(
+      multiloop(constI64(8), {Gen(Inner >= Val(int64_t(0)), Inner),
+                              Gen(constBool(true), Inner * Val(int64_t(2)))}));
+  InputMap In{{"xs", Value::arrayOfInts(std::vector<int64_t>(100, 1))}};
+  ExecLimits Limits;
+  Limits.MaxIterations = 1000;
+  ExecResult R = recoverRun(P, In, engine::EngineMode::Interp, 1, Limits);
+  ASSERT_TRUE(R.ok()) << R.TrapMessage;
+  EXPECT_EQ(R.Out.strct()->Fields[0].asInt(), 2800);
+  EXPECT_EQ(R.Out.strct()->Fields[1].asInt(), 5600);
+  // One iteration less is over budget at the final flush.
+  Limits.MaxIterations = 807;
+  R = recoverRun(P, In, engine::EngineMode::Interp, 1, Limits);
+  EXPECT_EQ(R.Status, ExecStatus::BudgetExceeded);
+  EXPECT_NE(R.TrapMessage.find("808 iterations"), std::string::npos)
+      << R.TrapMessage;
+}
+
 //===----------------------------------------------------------------------===//
 // ThreadPool drain and reuse.
 //===----------------------------------------------------------------------===//

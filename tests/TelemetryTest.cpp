@@ -401,6 +401,35 @@ TEST(EventLogTest, LoopEndMirrorsTheReportsLoopRecords) {
   std::remove(Path.c_str());
 }
 
+TEST(EventLogTest, ClosedLoopInsideAChunkedLoopRunsAndReportsOnce) {
+  // sum(xs) is closed, so every chunk of the outer loop reads one result:
+  // it runs once per run, and loop.end and the profile each record it
+  // once, at any thread count.
+  ProgramBuilder B;
+  Val Xs = B.inVecF64("xs");
+  Val XsV = Xs;
+  Program P = B.build(tabulate(
+      Val(int64_t(4096)), [&](Val I) { return sum(XsV) * toF64(I); }));
+  InputMap In{{"xs", Value::arrayOfDoubles(std::vector<double>(100, 1.0))}};
+  for (unsigned Threads : {1u, 4u}) {
+    std::string Path = tmpPath("closedonce");
+    ExecProfile Profile;
+    {
+      EventLog Log(Path);
+      ASSERT_TRUE(Log.ok());
+      EventLogActivation Act(Log);
+      EvalOptions EO;
+      EO.Threads = Threads;
+      EO.MinChunk = 64;
+      EO.Profile = &Profile;
+      testutil::evalOk(P, In, EO);
+    }
+    EXPECT_EQ(eventsOfType(Path, "loop.end").size(), 2u) << Threads;
+    EXPECT_EQ(Profile.Loops.size(), 2u) << Threads;
+    std::remove(Path.c_str());
+  }
+}
+
 TEST(EventLogTest, WarmFallbackLoopEndCarriesTheReason) {
   // The outer loop's value is a loop-varying inner loop, which the kernel
   // compiler rejects. The second run adopts that outcome from the cross-run
