@@ -470,11 +470,8 @@ std::optional<Reg> Lowering::lowerExpr(const ExprRef &E) {
     // registers.
     const auto *G = cast<GetFieldExpr>(E);
     if (const auto *MS = dyn_cast<MakeStructExpr>(G->base())) {
-      int Idx = G->base()->type()->fieldIndex(G->field());
-      if (Idx >= 0) {
-        R = lowerExpr(MS->ops()[static_cast<size_t>(Idx)]);
-        break;
-      }
+      R = lowerExpr(MS->ops()[G->index()]);
+      break;
     }
     fail("field read from loop-varying struct");
     return std::nullopt;

@@ -1354,13 +1354,10 @@ bool engine::runKernel(const Kernel &K, int64_t N, const LaunchContext &Ctx,
       ExecSpanRaw(SB, SE, R, Gens);
     }
   };
-  bool Parallel = Ctx.Pool && Ctx.Threads > 1 && N >= 2 * Ctx.MinChunk;
-  if (Parallel) {
-    // The interpreter's exact chunk arithmetic, so float reassociation is
-    // identical between engine and interpreter at equal thread counts.
-    int64_t NumChunks =
-        std::min<int64_t>((N + Ctx.MinChunk - 1) / Ctx.MinChunk,
-                          static_cast<int64_t>(Ctx.Threads) * 4);
+  if (Ctx.Chunks > 1) {
+    // The interpreter's exact chunk boundaries, so float reassociation is
+    // identical between engine and interpreter.
+    const int64_t NumChunks = Ctx.Chunks;
     int64_t Per = (N + NumChunks - 1) / NumChunks;
     std::vector<std::vector<ChunkGen>> ChunkStates(
         static_cast<size_t>(NumChunks));
@@ -1400,8 +1397,6 @@ bool engine::runKernel(const Kernel &K, int64_t N, const LaunchContext &Ctx,
     initChunk(K, NumKeys, Final);
     ExecSpan(0, N, R, Final);
   }
-  if (Ctx.WasParallel)
-    *Ctx.WasParallel = Parallel;
   if (Ctx.Profile)
     Ctx.Profile->WideBlocks += WideBlocks.load(std::memory_order_relaxed);
 

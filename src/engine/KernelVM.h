@@ -8,12 +8,13 @@
 /// Executes compiled kernels (engine/Kernel.h): binds loop-invariant
 /// uniforms and flat typed column buffers at launch, then runs the
 /// instruction stream once per index with unboxed per-chunk accumulators.
-/// Parallel launches replicate the interpreter's exact chunking arithmetic
-/// and index-ordered merge, so a kernel result is bit-identical to the
-/// interpreter at the same thread count — including the floating-point
-/// reassociation introduced by chunking. Launch-time binding can still
-/// reject a kernel (an array element whose runtime kind contradicts its
-/// static type); the caller then falls back to the interpreter.
+/// Parallel launches run the chunk count the caller decided, over the
+/// interpreter's chunk boundaries, with its index-ordered merge, so a kernel
+/// result is bit-identical to the interpreter at the same knobs — including
+/// the floating-point reassociation introduced by chunking. Launch-time
+/// binding can still reject a kernel (an array element whose runtime kind
+/// contradicts its static type); the caller then falls back to the
+/// interpreter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,16 +76,16 @@ struct LaunchContext {
   /// interpreter, with its global-scope memoization — nested producer
   /// loops still execute once.
   std::function<Value(const ExprRef &)> EvalInvariant;
-  ThreadPool *Pool = nullptr; ///< persistent pool; null forces sequential
-  unsigned Threads = 1;
-  int64_t MinChunk = 1024;
+  ThreadPool *Pool = nullptr; ///< persistent pool; required when Chunks > 1
+  /// Chunks to run in, decided once by the caller (runtime/ThreadPool.h
+  /// chunkCount); 1 runs sequentially.
+  int64_t Chunks = 1;
   /// Run wide-eligible kernels (Kernel::WideEligible) instruction-wide
   /// over index blocks. Results are bit-identical either way; the knob
   /// exists for ablation and differential testing.
   bool EnableWide = true;
   ExecProfile *Profile = nullptr;
   ColumnCache *Columns = nullptr; ///< optional shared cache
-  bool *WasParallel = nullptr;    ///< out: launch took the chunked path
   /// Out: chunk-body counter deltas from non-driver workers (worker 0 runs
   /// on the launching thread, so its chunks are already inside the caller's
   /// own ThreadCounters bracket — adding them here would double-count).

@@ -280,6 +280,11 @@ RunResult dmll::fuzz::runForked(const std::function<RunResult()> &Body,
   pid_t Pid = fork();
   if (Pid == 0) {
     // Child: route stderr into the parent's capture pipe, run, serialize.
+    // A sanitizer build inherits the sanitizer's handlers for the fatal
+    // signals, which report and exit; restore the defaults so a crash dies
+    // by its signal, which is what the parent classifies.
+    for (int Sig : {SIGSEGV, SIGBUS, SIGFPE, SIGILL})
+      signal(Sig, SIG_DFL);
     close(OutPipe[0]);
     close(ErrPipe[0]);
     dup2(ErrPipe[1], 2);

@@ -12,6 +12,7 @@
 #include "observe/Sampler.h"
 #include "observe/Trace.h"
 #include "runtime/ThreadPool.h"
+#include "sim/Calibration.h"
 #include "support/Error.h"
 
 #include <algorithm>
@@ -58,12 +59,12 @@ class Evaluator {
 public:
   explicit Evaluator(const InputMap &Inputs) : Inputs(Inputs) {}
 
-  /// Full-option evaluator. \p Pool (required when Threads > 1) is the
-  /// persistent worker pool shared by every loop of the evaluation;
+  /// Full-option evaluator of \p P. \p Pool (required when Threads > 1) is
+  /// the persistent worker pool shared by every loop of the evaluation;
   /// \p Control (may be null) enforces the run's ExecLimits at evaluator
   /// checkpoints.
-  Evaluator(const InputMap &Inputs, const EvalOptions &Opts, ThreadPool *Pool,
-            RunControl *Control = nullptr)
+  Evaluator(const Program &P, const InputMap &Inputs, const EvalOptions &Opts,
+            ThreadPool *Pool, RunControl *Control)
       : Inputs(Inputs), Threads(Opts.Threads ? Opts.Threads : 1),
         MinChunk(Opts.MinChunk > 0 ? Opts.MinChunk : 1024),
         Profile(Opts.Profile), Mode(Opts.Mode),
@@ -72,6 +73,11 @@ public:
         Pool(Pool), Control(Control), Reuse(Opts.KernelReuse) {
     if (Profile)
       OwnShared.Loops = &Profile->Loops;
+    // FlopsPerIter does not depend on partitioning, so an empty
+    // PartitionInfo gives the same work as the compiler's.
+    for (const LoopCost &C :
+         analyzeCosts(P, PartitionInfo(), sizeEnvFromInputs(P, Inputs)))
+      OwnShared.Work.emplace(C.Loop, C.FlopsPerIter);
   }
 
   Value evalTop(const ExprRef &E) {
@@ -120,6 +126,9 @@ private:
     std::unordered_map<const Expr *, KernelEntry> Compiled;
     std::unordered_map<const Expr *, ClosedResult> Closed;
     std::vector<LoopProfile> *Loops = nullptr; ///< null without a Profile
+    /// Static work per iteration of each closed multiloop (analysis/Cost.h
+    /// FlopsPerIter), the chunk rule's input; read-only during the run.
+    std::unordered_map<const Expr *, double> Work;
   };
   SharedState OwnShared;
   SharedState *Shared = &OwnShared;
@@ -496,7 +505,7 @@ private:
   }
 
   /// Attempts kernel execution of closed multiloop \p E with \p Rec's
-  /// knobs. On success sets Rec.Engine and Rec.Parallel; returns false with
+  /// knobs and chunk count. On success sets Rec.Engine; returns false with
   /// Rec.Fallback set (counting a fallback run) when the loop didn't lower
   /// or launch binding rejected it, and the caller takes the interpreter
   /// path. With \p Measure, chunk counters of workers other than the driver
@@ -527,13 +536,11 @@ private:
       return eval(Inv, S);
     };
     Ctx.Pool = Pool;
-    Ctx.Threads = Rec.Threads;
-    Ctx.MinChunk = Rec.MinChunk;
+    Ctx.Chunks = Rec.Chunks;
     Ctx.EnableWide = Rec.Wide;
     Ctx.Profile = Profile;
     Ctx.Columns = &Columns;
     Ctx.Control = Control;
-    Ctx.WasParallel = &Rec.Parallel;
     Ctx.LoopCounters = Measure ? &Rec.Counters : nullptr;
     Ctx.SampleLoop = SampleName;
     auto T0 = std::chrono::steady_clock::now();
@@ -551,7 +558,7 @@ private:
       T.Millis += std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - T0)
                       .count();
-      T.Parallel |= Rec.Parallel;
+      T.Parallel |= Rec.Chunks > 1;
     }
     return true;
   }
@@ -566,14 +573,13 @@ private:
     return Value::makeStruct(std::move(Outs));
   }
 
-  /// Runs closed multiloop \p ML on the interpreter with \p Rec's knobs:
-  /// chunked over the pool when the loop has the threads and the range for
-  /// it, sequentially otherwise.
+  /// Runs closed multiloop \p ML on the interpreter in \p Rec's chunk
+  /// count: chunked over the pool, or sequentially when it is 1.
   Value interpLoop(const MultiloopExpr *ML, Scope &S, LoopProfile &Rec,
                    const char *SampleName) {
     const int64_t N = Rec.Iters;
     std::vector<GenState> States = initStates(ML, S);
-    if (Rec.Threads <= 1 || N < 2 * Rec.MinChunk) {
+    if (Rec.Chunks <= 1) {
       if (Profile)
         ++Profile->SequentialLoops;
       runRange(ML, 0, N, States, S);
@@ -583,9 +589,6 @@ private:
     // subranges with independent evaluators; chunk states merge in index
     // order, so element order and first-occurrence key order match the
     // sequential semantics.
-    Rec.Parallel = true;
-    Rec.Chunks = std::min<int64_t>((N + Rec.MinChunk - 1) / Rec.MinChunk,
-                                   static_cast<int64_t>(Rec.Threads) * 4);
     int64_t Per = (N + Rec.Chunks - 1) / Rec.Chunks;
     std::vector<std::vector<GenState>> ChunkStates(
         static_cast<size_t>(Rec.Chunks));
@@ -670,6 +673,11 @@ private:
       if (TD->Wide >= 0)
         Rec.Wide = TD->Wide != 0;
     }
+    // The chunk count, decided once after the decision resolves, for
+    // whichever engine runs the loop: MinChunk counts work units.
+    auto W = Shared->Work.find(E.get());
+    Rec.Work = chunkWork(W == Shared->Work.end() ? 0 : W->second);
+    Rec.Chunks = chunkCount(N, Rec.Work, Rec.Threads, Rec.MinChunk);
     const bool Measure = Profile != nullptr;
     LoopObservation Obs(Rec, Measure);
     // Engine choice: a pinned per-loop decision replaces the global mode
@@ -774,10 +782,7 @@ private:
     }
     case ExprKind::GetField: {
       const auto *G = cast<GetFieldExpr>(E);
-      int Idx = G->base()->type()->fieldIndex(G->field());
-      assert(Idx >= 0 && "field checked at construction");
-      const Value &Base = evalRef(G->base(), S, Tmp);
-      return Base.strct()->Fields[static_cast<size_t>(Idx)];
+      return evalRef(G->base(), S, Tmp).strct()->Fields[G->index()];
     }
     case ExprKind::LoopOut: {
       const auto *LO = cast<LoopOutExpr>(E);
@@ -995,7 +1000,7 @@ ExecResult dmll::evalProgramRecover(const Program &P, const InputMap &Inputs,
     Pool = &OwnPool.emplace(Threads);
   ExecResult R;
   try {
-    R.Out = Evaluator(Inputs, Opts, Pool, Control).evalTop(P.Result);
+    R.Out = Evaluator(P, Inputs, Opts, Pool, Control).evalTop(P.Result);
   } catch (TrapError &E) {
     R.Status = execStatusForTrap(E.kind());
     R.TrapMessage = E.message();

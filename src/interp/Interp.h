@@ -85,7 +85,8 @@ private:
 /// interpreter run.
 struct ExecOptions {
   unsigned Threads = 1;    ///< workers (0 selects 1)
-  /// Minimum parallel chunk size; <= 0 selects 1024.
+  /// Minimum work units per parallel chunk, one unit being one flop per
+  /// iteration (runtime/ThreadPool.h chunkCount); <= 0 selects 1024.
   int64_t MinChunk = 1024;
   /// Multiloop execution engine: the boxed interpreter, compiled kernels
   /// with transparent fallback, or Auto (kernels for non-tiny loops).
@@ -144,18 +145,24 @@ Value evalProgram(const Program &P, const InputMap &Inputs);
 
 /// Runs \p P with the knobs in \p Opts and never lets a trap escape.
 ///
-/// Closed multiloops whose range is at least 2 * MinChunk are split into
-/// chunks executed by Threads workers and merged in index order — the
-/// Section 5 insight that a multiloop is agnostic to whether it runs over
-/// the whole range or a subset. Collect chunks concatenate; reductions
-/// combine with the (associative) reduction operator; hash buckets merge
-/// preserving first-occurrence key order. Results equal sequential
-/// evaluation up to floating-point reassociation. Under EngineMode::Kernel
-/// / Auto each closed multiloop is compiled once to register bytecode
-/// (src/engine) and executed unboxed; loops the kernel compiler rejects
-/// fall back transparently to the interpreter, with per-loop reasons in
-/// \p Opts.Kernels. Kernel results are bit-identical to the interpreter at
-/// equal Threads/MinChunk, including parallel float reassociation. One
+/// Closed multiloops are split by their static work, not their length: the
+/// run builds each closed loop's work per iteration W once (analysis/Cost.h
+/// FlopsPerIter against the input sizes), and runtime/ThreadPool.h
+/// chunkCount splits a loop of N iterations into chunks of
+/// max(1, floor(MinChunk / W)) iterations when N is at least twice that,
+/// up to 4 * Threads chunks. Chunks run on Threads workers and merge in
+/// index order — the Section 5 insight that a multiloop is agnostic to
+/// whether it runs over the whole range or a subset. Collect chunks
+/// concatenate; reductions combine with the (associative) reduction
+/// operator; hash buckets merge preserving first-occurrence key order.
+/// Results equal sequential evaluation up to floating-point reassociation.
+/// Under EngineMode::Kernel / Auto each closed multiloop is compiled once
+/// to register bytecode (src/engine) and executed unboxed; loops the kernel
+/// compiler rejects fall back transparently to the interpreter, with
+/// per-loop reasons in \p Opts.Kernels. The chunk count is decided once per
+/// loop execution for either engine, so kernel results are bit-identical to
+/// the interpreter at equal Threads/MinChunk, including parallel float
+/// reassociation. One
 /// persistent work-stealing ThreadPool serves every loop of the run. Every
 /// closed multiloop execution builds one LoopProfile record and reports it
 /// through one LoopObservation (observe/Metrics.h): the sampler, the

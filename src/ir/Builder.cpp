@@ -254,14 +254,12 @@ ExprRef dmll::getField(ExprRef Base, const std::string &Field) {
   if (!Base->type()->isStruct())
     fatalError("getField on non-struct of type " + Base->type()->str());
   TypeRef Ty = Base->type()->fieldType(Field);
+  auto Idx = static_cast<size_t>(Base->type()->fieldIndex(Field));
   // Fold projection of a literal struct.
-  if (const auto *MS = dyn_cast<MakeStructExpr>(Base)) {
-    int Idx = MS->type()->fieldIndex(Field);
-    assert(Idx >= 0 && "checked above");
-    return MS->ops()[static_cast<size_t>(Idx)];
-  }
-  return std::make_shared<GetFieldExpr>(std::move(Ty), std::move(Base),
-                                        Field);
+  if (const auto *MS = dyn_cast<MakeStructExpr>(Base))
+    return MS->ops()[Idx];
+  return std::make_shared<GetFieldExpr>(std::move(Ty), std::move(Base), Field,
+                                        Idx);
 }
 
 ExprRef dmll::multiloop(ExprRef Size, std::vector<Generator> Gens) {

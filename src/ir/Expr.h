@@ -355,17 +355,21 @@ public:
 /// Struct field projection.
 class GetFieldExpr : public Expr {
 public:
-  GetFieldExpr(TypeRef T, ExprRef Base, std::string Field)
+  /// \p Index is \p Field's position in the base's struct type, resolved
+  /// once by dmll::getField (ir/Builder.h), the only builder.
+  GetFieldExpr(TypeRef T, ExprRef Base, std::string Field, size_t Index)
       : Expr(ExprKind::GetField, std::move(T), {std::move(Base)}),
-        Field(std::move(Field)) {}
+        Field(std::move(Field)), Index(Index) {}
   const ExprRef &base() const { return ops()[0]; }
   const std::string &field() const { return Field; }
+  size_t index() const { return Index; }
   static bool classof(const Expr *E) {
     return E->kind() == ExprKind::GetField;
   }
 
 private:
   std::string Field;
+  size_t Index;
 };
 
 /// The multiloop (Fig. 2): a traversal of [0, size) with one or more

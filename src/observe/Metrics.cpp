@@ -83,13 +83,15 @@ void dmll::appendLoopFields(std::string &Out, const LoopProfile &LP,
                             bool WithCounters) {
   Out += ",\"loop\":" + json::quote(LP.Loop);
   Out += ",\"engine\":" + json::quote(LP.Engine);
-  char Buf[192];
+  char Buf[256];
   std::snprintf(Buf, sizeof(Buf),
                 ",\"iters\":%lld,\"millis\":%.6g,\"parallel\":%s,"
-                "\"threads\":%u,\"min_chunk\":%lld,\"wide\":%s,\"tuned\":%s",
+                "\"threads\":%u,\"min_chunk\":%lld,\"work\":%.6g,"
+                "\"chunks\":%lld,\"wide\":%s,\"tuned\":%s",
                 static_cast<long long>(LP.Iters), LP.Millis,
-                LP.Parallel ? "true" : "false", LP.Threads,
-                static_cast<long long>(LP.MinChunk), LP.Wide ? "true" : "false",
+                LP.Chunks > 1 ? "true" : "false", LP.Threads,
+                static_cast<long long>(LP.MinChunk), LP.Work,
+                static_cast<long long>(LP.Chunks), LP.Wide ? "true" : "false",
                 LP.Tuned ? "true" : "false");
   Out += Buf;
   if (!LP.Fallback.empty())
@@ -166,7 +168,7 @@ void LoopObservation::close() {
   if (Measure)
     Rec.Counters.add(ThreadCounters::now() - Before);
   if (Span.live()) {
-    if (Rec.Chunks)
+    if (Rec.Chunks > 1)
       Span.argInt("chunks", Rec.Chunks);
     Span.arg("engine", Rec.Engine);
     if (!Rec.Fallback.empty())
@@ -201,7 +203,7 @@ void LoopObservation::close() {
     if (!S.Loops)
       S.Loops = &R.counter("exec.loops");
     Ms->observe(Rec.Millis);
-    S.Threads->set(Rec.Parallel ? Rec.Threads : 1);
+    S.Threads->set(Rec.Chunks > 1 ? Rec.Threads : 1);
     S.Loops->inc();
   }
   if (Events) {

@@ -64,20 +64,24 @@ struct LoopProfile {
   std::string Engine = "interp"; ///< "interp" | "kernel"
   int64_t Iters = 0;
   double Millis = 0;    ///< wall time of the loop (execution + merge)
-  bool Parallel = false;///< took the chunked path
   /// Effective knobs the loop ran with, after any per-loop tuning decision
   /// (tune/Decision.h) was applied: workers available to the loop, minimum
-  /// parallel chunk size, and whether wide kernel blocks were enabled.
+  /// work units per parallel chunk, and whether wide kernel blocks were
+  /// enabled.
   unsigned Threads = 1;
   int64_t MinChunk = 0;
   bool Wide = false;
+  /// The chunk decision and its input: the loop's static work units per
+  /// iteration (runtime/ThreadPool.h chunkWork of analysis/Cost.h's
+  /// FlopsPerIter) and the chunkCount both engines ran it in; more than 1
+  /// is the chunked path (`parallel` in the rendered record).
+  double Work = 1;
+  int64_t Chunks = 1;
   /// True when a DecisionTable entry matched this loop's signature.
   bool Tuned = false;
   /// Why the kernel engine did not run a loop it was asked to run (the
   /// compiler's rejection reason or a launch-time binding rejection).
   std::string Fallback;
-  /// Chunks the interpreter split a parallel loop into; 0 otherwise.
-  int64_t Chunks = 0;
   /// Counter deltas over the loop: the other workers' chunk-body sums plus
   /// the driver thread's own bracket. Measured only for a run with a
   /// Profile sink (EvalOptions::Profile); zero otherwise.
@@ -89,9 +93,10 @@ struct LoopProfile {
 void appendCounterJson(std::string &Out, const CounterSample &C);
 
 /// Appends \p LP's fields as JSON members, each preceded by a comma — loop,
-/// engine, iters, millis, parallel, threads, min_chunk, wide, tuned, then
-/// fallback when set and counters when \p WithCounters. `loop.end` and the
-/// dmll-profile-v1 `loops` entries both render through it.
+/// engine, iters, millis, parallel, threads, min_chunk, work, chunks, wide,
+/// tuned, then fallback when set and counters when \p WithCounters.
+/// `loop.end` and the dmll-profile-v1 `loops` entries both render through
+/// it.
 void appendLoopFields(std::string &Out, const LoopProfile &LP,
                       bool WithCounters);
 

@@ -85,9 +85,9 @@ struct ExecutionReport {
 /// and runs the optimized program with the runtime knobs in \p Exec:
 /// worker count, engine mode (docs/EXECUTION.md — boxed interpreter,
 /// compiled register bytecode with transparent per-loop fallback, or Auto),
-/// minimum parallel chunk size (loops shorter than 2 * MinChunk stay
-/// sequential), and an optional per-loop tuning decision table
-/// (docs/TUNING.md).
+/// minimum work units per parallel chunk (runtime/ThreadPool.h chunkCount:
+/// a loop splits by its static work, not its length), and an optional
+/// per-loop tuning decision table (docs/TUNING.md).
 ///
 /// Execution is fault-isolated (docs/ROBUSTNESS.md): user-program traps,
 /// deadline expiry, and budget overruns do not propagate — they come back

@@ -9,6 +9,7 @@
 #include "runtime/Cancel.h"
 
 #include <algorithm>
+#include <cmath>
 
 using namespace dmll;
 
@@ -21,6 +22,23 @@ double sinceMs(std::chrono::steady_clock::time_point T0) {
 }
 
 } // namespace
+
+double dmll::chunkWork(double WorkPerIter) {
+  return std::isfinite(WorkPerIter) && WorkPerIter >= 1 ? WorkPerIter : 1;
+}
+
+int64_t dmll::chunkCount(int64_t N, double WorkPerIter, unsigned Threads,
+                         int64_t MinChunk) {
+  // Clamped below 2^62 so the conversion stays defined; N / 2 >= E is
+  // N >= 2E without the overflow.
+  int64_t E = std::max<int64_t>(
+      1, static_cast<int64_t>(std::min(
+             std::floor(static_cast<double>(MinChunk) / chunkWork(WorkPerIter)),
+             0x1p62)));
+  if (Threads <= 1 || N / 2 < E)
+    return 1;
+  return std::min<int64_t>((N - 1) / E + 1, static_cast<int64_t>(Threads) * 4);
+}
 
 ThreadPool::ThreadPool(unsigned T) : Threads(T) {
   if (!Threads) {

@@ -160,6 +160,20 @@ private:
   Job Cur;
 };
 
+/// The work units per iteration the chunk rule counts for a static
+/// estimate \p WorkPerIter: itself when finite and >= 1, else 1.
+double chunkWork(double WorkPerIter);
+
+/// The one chunk rule for a closed loop of \p N iterations (both engines,
+/// the tuner and its cost model call it): with W = chunkWork(WorkPerIter),
+/// a chunk holds E = max(1, floor(MinChunk / W)) iterations, the loop runs
+/// chunked iff Threads > 1 and N >= 2E, and then into
+/// min(ceil(N / E), 4 * Threads) chunks. 1 means sequential. MinChunk thus
+/// counts work units, and a loop whose iterations are 1,000x heavier splits
+/// 1,000x sooner.
+int64_t chunkCount(int64_t N, double WorkPerIter, unsigned Threads,
+                   int64_t MinChunk);
+
 } // namespace dmll
 
 #endif // DMLL_RUNTIME_THREADPOOL_H

@@ -64,7 +64,7 @@ CalibrationReport dmll::calibrate(const Program &P, const PartitionInfo &Info,
     C.Engine = LP.Engine;
     C.Iters = LP.Iters;
     C.MeasuredMs = LP.Millis;
-    C.Parallel = LP.Parallel;
+    C.Parallel = LP.Chunks > 1;
     for (size_t I = 0; I < Costs.size(); ++I) {
       if (Used[I] || Costs[I].Signature != LP.Loop)
         continue;

@@ -2,6 +2,7 @@
 
 #include "tune/CostModel.h"
 
+#include "runtime/ThreadPool.h"
 #include "sim/Simulator.h"
 
 #include <algorithm>
@@ -25,22 +26,22 @@ const LoopCost *TuneCostModel::costFor(const std::string &Sig) const {
   return It == Costs.end() ? nullptr : &It->second;
 }
 
+unsigned TuneCostModel::threadsFor(const LoopDecision &D) const {
+  return D.Threads ? std::min(RunThreads, D.Threads) : RunThreads;
+}
+
+int64_t TuneCostModel::chunksFor(const LoopCost &LC, const LoopDecision &D,
+                                 int64_t N) const {
+  return chunkCount(N, LC.FlopsPerIter, threadsFor(D),
+                    D.MinChunk > 0 ? D.MinChunk : RunMinChunk);
+}
+
 double TuneCostModel::rawPredict(const LoopCost &LC,
                                  const LoopDecision &D) const {
-  // Resolve the decision against the run's globals exactly like the
-  // interpreter does (interp/Interp.cpp evalMultiloop).
-  unsigned EffThreads =
-      D.Threads ? std::min(RunThreads, D.Threads) : RunThreads;
-  int64_t EffChunk = D.MinChunk > 0 ? D.MinChunk : RunMinChunk;
-  int64_t N = static_cast<int64_t>(LC.Iters);
-  bool Parallel = EffThreads > 1 && N >= 2 * EffChunk;
-  int64_t NumChunks = 1;
-  if (Parallel)
-    NumChunks = std::min<int64_t>((N + EffChunk - 1) / EffChunk,
-                                  static_cast<int64_t>(EffThreads) * 4);
+  int64_t NumChunks = chunksFor(LC, D, static_cast<int64_t>(LC.Iters));
   Discipline Disc = Discipline::dmll();
-  SimResult R = simulateShared({LC}, M, Parallel ? static_cast<int>(EffThreads) : 1,
-                               MemPolicy::Partitioned, Disc);
+  int Cores = NumChunks > 1 ? static_cast<int>(threadsFor(D)) : 1;
+  SimResult R = simulateShared({LC}, M, Cores, MemPolicy::Partitioned, Disc);
   // simulateShared already charges ~2 tasks/worker/loop; charge the actual
   // chunk count instead so chunk-size candidates differentiate.
   double Ms = R.Ms + Disc.PerTaskOverheadMs * static_cast<double>(NumChunks);

@@ -9,10 +9,10 @@
 /// the way the analytic stack already composes them: a loop's static
 /// LoopCost (analysis/Cost.h, seeded from the dataset SizeEnv) is run
 /// through simulateShared (sim/Simulator.h) at the worker count a candidate
-/// decision would actually use — replicating the interpreter's chunking
-/// arithmetic, so a candidate whose chunk size forces the sequential path
-/// is simulated on one core — plus the discipline's per-chunk task
-/// overhead.
+/// decision would actually use — the interpreter's own chunk rule
+/// (runtime/ThreadPool.h chunkCount), so a candidate whose chunk size
+/// forces the sequential path is simulated on one core — plus the
+/// discipline's per-chunk task overhead.
 ///
 /// The raw simulation is in "compiled C++" units; real engines are slower
 /// by a per-(loop, engine) factor the model *learns*: every measurement
@@ -71,7 +71,16 @@ public:
   /// tests).
   double rawPredict(const LoopCost &LC, const LoopDecision &D) const;
 
+  /// Chunks loop \p LC runs in at \p N iterations under \p D: the decision
+  /// resolved against the run's knobs as interp/Interp.cpp evalMultiloop
+  /// resolves it, then runtime/ThreadPool.h chunkCount on LC.FlopsPerIter.
+  int64_t chunksFor(const LoopCost &LC, const LoopDecision &D,
+                    int64_t N) const;
+
 private:
+  /// Workers \p D leaves the loop: min(run threads, cap), or the run's.
+  unsigned threadsFor(const LoopDecision &D) const;
+
   std::map<std::string, LoopCost> Costs;
   /// Measured / rawPredict, keyed "sig/interp" or "sig/kernel".
   std::map<std::string, double> Ratios;

@@ -48,7 +48,8 @@ struct LoopDecision {
   /// min(run threads, Threads) — a decision can narrow parallelism (a
   /// memory-bound loop that stops scaling) but never widen the pool.
   unsigned Threads = 0;
-  /// Minimum parallel chunk size for this loop; <= 0 inherits.
+  /// Minimum work units per parallel chunk for this loop (the same unit as
+  /// ExecOptions::MinChunk); <= 0 inherits.
   int64_t MinChunk = 0;
   /// Wide kernel blocks: -1 inherits, 0 forces scalar, 1 forces wide.
   int Wide = -1;

@@ -45,23 +45,16 @@ aggregateLoops(const std::vector<LoopProfile> &Loops) {
 }
 
 /// Canonical execution shape of a decision, for candidate dedup: two
-/// decisions that resolve to the same engine, chunking, and wide bit would
-/// measure identically, so only the first-enumerated one is kept.
-std::string shapeKey(const LoopDecision &D, bool Kernel, unsigned RunThreads,
-                     int64_t RunMinChunk, int64_t N) {
-  unsigned EffThreads =
-      D.Threads ? std::min(RunThreads, D.Threads) : RunThreads;
-  int64_t EffChunk = D.MinChunk > 0 ? D.MinChunk : RunMinChunk;
-  bool Parallel = EffThreads > 1 && N >= 2 * EffChunk;
+/// decisions that resolve to the same engine, wide bit and chunk count run
+/// the same chunks on the same pool and would measure identically, so only
+/// the first-enumerated one is kept.
+std::string shapeKey(const TuneCostModel &Model, const LoopCost &LC,
+                     const LoopDecision &D, bool Kernel, int64_t N) {
   std::string K = Kernel ? "k" : "i";
   if (Kernel)
     K += D.Wide == 0 ? "s" : "w";
-  if (!Parallel)
-    return K + "/seq";
-  int64_t NumChunks = std::min<int64_t>((N + EffChunk - 1) / EffChunk,
-                                        static_cast<int64_t>(EffThreads) * 4);
-  return K + "/t" + std::to_string(EffThreads) + "c" +
-         std::to_string(NumChunks) + "p" + std::to_string(EffChunk);
+  int64_t Chunks = Model.chunksFor(LC, D, N);
+  return Chunks == 1 ? K + "/seq" : K + "/c" + std::to_string(Chunks);
 }
 
 /// True when \p D resolves to a kernel attempt under global mode \p Mode
@@ -74,16 +67,19 @@ bool resolvesToKernel(const LoopDecision &D, engine::EngineMode Mode,
          (Mode == engine::EngineMode::Kernel || N >= engine::AutoMinIters);
 }
 
-/// Runtime-knob candidates for one loop, deduped by execution shape, in
-/// deterministic enumeration order. The default (inherit-everything)
-/// decision is NOT included — the baseline run measures it.
-std::vector<LoopDecision> candidatesFor(int64_t N, const ExecOptions &Exec) {
+/// Runtime-knob candidates for loop \p LC of \p N iterations, deduped by
+/// execution shape, in deterministic enumeration order. The default
+/// (inherit-everything) decision is NOT included — the baseline run
+/// measures it.
+std::vector<LoopDecision> candidatesFor(const TuneCostModel &Model,
+                                        const LoopCost &LC, int64_t N,
+                                        const ExecOptions &Exec) {
   std::vector<LoopDecision> Out;
   std::vector<std::string> Seen;
   // The baseline's shape is taken: candidates that resolve to it add no
   // information.
-  Seen.push_back(shapeKey(LoopDecision(), resolvesToKernel({}, Exec.Mode, N),
-                          Exec.Threads, Exec.MinChunk, N));
+  Seen.push_back(shapeKey(Model, LC, LoopDecision(),
+                          resolvesToKernel({}, Exec.Mode, N), N));
   std::vector<unsigned> ThreadCaps{0, 1};
   for (unsigned T = 2; T < Exec.Threads; T *= 2)
     ThreadCaps.push_back(T);
@@ -98,8 +94,8 @@ std::vector<LoopDecision> candidatesFor(int64_t N, const ExecOptions &Exec) {
           D.Threads = T;
           D.MinChunk = C;
           D.Wide = Wide;
-          std::string Key = shapeKey(D, E == LoopEngine::Kernel, Exec.Threads,
-                                     Exec.MinChunk, N);
+          std::string Key =
+              shapeKey(Model, LC, D, E == LoopEngine::Kernel, N);
           if (std::find(Seen.begin(), Seen.end(), Key) != Seen.end())
             continue;
           Seen.push_back(Key);
@@ -171,12 +167,13 @@ TuningProfile dmll::tune::tuneProgram(const std::string &App,
   };
   std::vector<Tunable> Tunables;
   for (const auto &[Sig, M] : BaseLoops) {
-    if (!Model.costFor(Sig))
+    const LoopCost *LC = Model.costFor(Sig);
+    if (!LC)
       continue;
     Tunable T;
     T.Sig = Sig;
     T.N = M.Iters;
-    T.Cands = candidatesFor(M.Iters, Exec);
+    T.Cands = candidatesFor(Model, *LC, M.Iters, Exec);
     TP.Candidates += static_cast<int>(T.Cands.size());
     std::stable_sort(T.Cands.begin(), T.Cands.end(),
                      [&](const LoopDecision &A, const LoopDecision &B) {

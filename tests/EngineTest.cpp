@@ -17,6 +17,7 @@
 #include "engine/Engine.h"
 #include "frontend/Frontend.h"
 #include "graph/Graph.h"
+#include "service/Catalog.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -382,6 +383,47 @@ TEST(EngineStats, CompileOnceLaunchMany) {
   EXPECT_EQ(KS.Kernels[0].Iters, 4096);
   EXPECT_FALSE(KS.Kernels[0].Loop.empty());
   EXPECT_GE(KS.CompileMillis, 0.0);
+}
+
+//===----------------------------------------------------------------------===//
+// The chunk rule at the daemon's knobs: a loop splits by its static work.
+//===----------------------------------------------------------------------===//
+
+/// The daemon's nested catalog apps at scale 50 loop over N = 1,001 rows,
+/// below 2 x MinChunk, but a row costs 26 to 1,056 flops: at 4 threads and
+/// MinChunk 1024 every row loop runs in 16 chunks, on either engine, with
+/// equal results.
+TEST(EngineChunking, NestedCatalogAppsSplitRowLoopsByWork) {
+  for (const char *App : {"k-means", "gda", "logreg"}) {
+    SCOPED_TRACE(App);
+    service::AppCase C;
+    ASSERT_TRUE(service::makeApp(App, 50, C));
+    CompileResult CR = compileProgram(C.P, CompileOptions());
+    InputMap In = adaptInputs(C.P, CR, C.Inputs);
+    Value Ref = evalProgram(C.P, C.Inputs);
+    std::vector<Value> Outs;
+    for (engine::EngineMode Mode :
+         {engine::EngineMode::Interp, engine::EngineMode::Auto}) {
+      ExecProfile Prof;
+      EvalOptions Opts;
+      Opts.Threads = 4;
+      Opts.MinChunk = 1024;
+      Opts.Mode = Mode;
+      Opts.Profile = &Prof;
+      Outs.push_back(testutil::evalOk(CR.P, In, Opts));
+      EXPECT_TRUE(Outs.back().deepEquals(Ref, 1e-6));
+      EXPECT_GE(Prof.ParallelLoops, 1);
+      int RowLoops = 0;
+      for (const LoopProfile &L : Prof.Loops)
+        if (L.Iters == C.N) {
+          ++RowLoops;
+          EXPECT_EQ(L.Chunks, 16) << L.Loop;
+          EXPECT_GE(L.Work, 26.0) << L.Loop;
+        }
+      EXPECT_GE(RowLoops, 1);
+    }
+    EXPECT_TRUE(Outs[0].deepEquals(Outs[1], 0.0));
+  }
 }
 
 TEST(EngineStats, AutoModeSkipsTinyLoops) {

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 using namespace dmll;
@@ -47,6 +48,73 @@ TEST(ThreadPoolTest, RunExecutesOncePerWorker) {
   Pool.run([&](unsigned W) { PerWorker[W].fetch_add(1); });
   for (auto &C : PerWorker)
     EXPECT_EQ(C.load(), 1);
+}
+
+/// chunkCount (runtime/ThreadPool.h): W = chunkWork(WorkPerIter),
+/// E = max(1, floor(MinChunk / W)), chunked iff Threads > 1 && N >= 2E,
+/// into min(ceil(N / E), 4 * Threads) chunks.
+TEST(ChunkCountTest, RuleTable) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  struct Row {
+    int64_t N;
+    double W;
+    unsigned Threads;
+    int64_t MinChunk;
+    int64_t Chunks;
+  };
+  const Row Rows[] = {
+      // Work that is absent (0), negative, NaN or infinite counts as 1.
+      {2048, 0, 4, 1024, 2},
+      {2048, -1, 4, 1024, 2},
+      {2048, NaN, 4, 1024, 2},
+      {2048, Inf, 4, 1024, 2},
+      {2047, Inf, 4, 1024, 1},
+      // Heavy iterations: E bottoms out at one iteration per chunk.
+      {1001, 1e9, 4, 1024, 16},
+      {2, 1e9, 4, 1024, 2},
+      {1, 1e9, 4, 1024, 1},
+      // The daemon's loops: k-means (E = 1), logreg (E = 9), gda (E = 39),
+      // pagerank (E = 341) and a 20-iteration loop (E = 256).
+      {1001, 1056, 4, 1024, 16},
+      {1001, 107, 4, 1024, 16},
+      {1001, 26, 4, 1024, 16},
+      {2048, 3, 4, 1024, 7},
+      {20, 4, 4, 1024, 1},
+      // One thread and an empty loop never split.
+      {1001, 1e9, 1, 1024, 1},
+      {0, 1e9, 4, 1024, 1},
+      // The threshold N = 2E - 1 against N = 2E, at E = 100.
+      {199, 10, 4, 1000, 1},
+      {200, 10, 4, 1000, 2},
+      // The cap at 4 x Threads.
+      {int64_t(1) << 20, 1, 3, 1024, 12},
+      // A MinChunk beyond any loop (from --min-chunk) stays sequential.
+      {int64_t(1) << 40, 1, 4, std::numeric_limits<int64_t>::max(), 1},
+  };
+  for (const Row &R : Rows)
+    EXPECT_EQ(chunkCount(R.N, R.W, R.Threads, R.MinChunk), R.Chunks)
+        << "N=" << R.N << " W=" << R.W << " Threads=" << R.Threads
+        << " MinChunk=" << R.MinChunk;
+  EXPECT_EQ(chunkWork(NaN), 1.0);
+  EXPECT_EQ(chunkWork(0.5), 1.0);
+  EXPECT_EQ(chunkWork(463), 463.0);
+}
+
+/// At W = 1 the rule is the element-count rule it replaced.
+TEST(ChunkCountTest, UnitWorkIsTheElementRule) {
+  for (int64_t MinChunk : {1, 4, 32, 1000, 1024})
+    for (unsigned Threads : {1u, 2u, 3u, 4u, 8u})
+      for (int64_t N = 0; N <= 4200; ++N) {
+        int64_t Old =
+            Threads <= 1 || N < 2 * MinChunk
+                ? 1
+                : std::min<int64_t>((N + MinChunk - 1) / MinChunk,
+                                    static_cast<int64_t>(Threads) * 4);
+        ASSERT_EQ(chunkCount(N, 1, Threads, MinChunk), Old)
+            << "N=" << N << " Threads=" << Threads
+            << " MinChunk=" << MinChunk;
+      }
 }
 
 TEST(DistArrayTest, DirectoryPartitionsEvenly) {

@@ -10,6 +10,8 @@
 
 #include "frontend/Frontend.h"
 #include "runtime/Executor.h"
+#include "runtime/ThreadPool.h"
+#include "sim/Calibration.h"
 #include "tune/CostModel.h"
 #include "tune/Tuner.h"
 
@@ -219,6 +221,44 @@ TEST(TuneIntegrationTest, DecisionsNarrowButNeverWidenThreads) {
   E.Tuning = &T;
   ExecutionReport R = executeProgram(P, In, CO, E);
   EXPECT_EQ(R.ParallelLoops, 0);
+}
+
+/// The chunk count behind the tuner's candidate dedup and cost model
+/// (TuneCostModel::chunksFor) is the one the run records for a tuned loop:
+/// both resolve the decision the same way and feed chunkCount the same
+/// static work.
+TEST(TuneIntegrationTest, ShapeKeyChunksMatchTheRunsChunks) {
+  Program P = meanOfSquares();
+  InputMap In = smallInputs(4000);
+  CompileOptions CO;
+  CompileResult CR = compileProgram(P, CO);
+  TuneCostModel Model(
+      analyzeCosts(CR.P, CR.Partitioning,
+                   sizeEnvFromInputs(CR.P, adaptInputs(P, CR, In))),
+      MachineModel::host(), 4, 1024);
+  // A capped decision whose chunk size the loop's work brings into range:
+  // at one unit per iteration 4,000 iterations would stay sequential.
+  LoopDecision D;
+  D.Threads = 2;
+  D.MinChunk = 4096;
+  DecisionTable T = syntheticDecisions(CR.P, 4, 1024);
+  for (const auto &[Sig, SD] : T.entries()) {
+    (void)SD;
+    T.set(Sig, D);
+  }
+  ExecOptions E;
+  E.Threads = 4;
+  E.Tuning = &T;
+  ExecutionReport R = executeProgram(P, In, CO, E);
+  ASSERT_GT(R.TunedLoops, 0);
+  for (const LoopProfile &L : R.Loops) {
+    const LoopCost *LC = Model.costFor(L.Loop);
+    ASSERT_NE(LC, nullptr) << L.Loop;
+    EXPECT_TRUE(L.Tuned);
+    EXPECT_EQ(L.Work, chunkWork(LC->FlopsPerIter)) << L.Loop;
+    EXPECT_GT(L.Chunks, 1) << L.Loop;
+    EXPECT_EQ(Model.chunksFor(*LC, D, L.Iters), L.Chunks) << L.Loop;
+  }
 }
 
 TEST(TuneIntegrationTest, TuneProgramProducesConsistentArtifact) {

@@ -16,7 +16,9 @@
 //                                  ephemeral ports without racing)
 //   --threads N                    persistent pool size (default 4)
 //   --engine auto|interp|kernel    default engine mode (default auto)
-//   --min-chunk C                  minimum parallel chunk (default 1024)
+//   --min-chunk C                  minimum work units per parallel chunk,
+//                                  one unit = one flop per iteration
+//                                  (default 1024)
 //   --max-queue N                  admission ceiling; overflow requests are
 //                                  shed with a structured response
 //                                  (default 16)
@@ -56,7 +58,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: dmll-serve [--port N] [--port-file F] [--threads N]\n"
                "                  [--engine auto|interp|kernel]\n"
-               "                  [--min-chunk C] [--max-queue N]\n"
+               "                  [--min-chunk C (work units per chunk)]\n"
+               "                  [--max-queue N]\n"
                "                  [--tune-dir D] [--deadline-ms MS]\n"
                "                  [--stdio] [telemetry flags]\n");
   return 2;

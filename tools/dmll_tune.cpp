@@ -14,7 +14,7 @@
 //   dmll-tune --list                            list known apps
 //
 //   --threads N     global worker count (default 4); decisions narrow it
-//   --min-chunk C   global minimum parallel chunk (default 1024)
+//   --min-chunk C   global minimum work units per chunk (default 1024)
 //   --engine E      auto|interp|kernel global engine mode (default auto)
 //   --rounds R      measured candidate rounds (default 3)
 //   --scale S       divide dataset sizes by S (default 1)
