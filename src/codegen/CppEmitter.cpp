@@ -13,7 +13,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <sstream>
 #include <unordered_map>
@@ -340,81 +339,6 @@ private:
   /// vectorize the reduction loop. Shared with the kernel engine.
   static bool isScalarAdd(const Func &R) { return lower::isScalarAddReduce(R); }
 
-  /// In-place vector accumulation: a (Bucket)Reduce over array values whose
-  /// value is a Collect and whose reduction is elementwise addition can
-  /// accumulate `acc[k] += f(k)` directly, with no per-iteration vector
-  /// allocations — the "aggressive buffer reuse" hand-optimized code does
-  /// (Section 6). Returns the chain of Collect levels (1 or 2 deep), or
-  /// empty if the shape does not match.
-  std::vector<const MultiloopExpr *> matchInPlaceAdd(const Generator &Gen) {
-    std::vector<const MultiloopExpr *> Levels;
-    if (!Gen.isReduce() || Gen.Value.Body->type()->isScalar())
-      return Levels;
-    // Value side: nested trivial Collects.
-    const Expr *Cur = Gen.Value.Body.get();
-    TypeRef Ty = Gen.Value.Body->type();
-    while (Ty->isArray() && Levels.size() < 2) {
-      const auto *ML = dyn_cast<MultiloopExpr>(Cur);
-      if (!ML || !ML->isSingle() || ML->gen().Kind != GenKind::Collect ||
-          !isTrueCond(ML->gen().Cond))
-        return {};
-      Levels.push_back(ML);
-      Cur = ML->gen().Value.Body.get();
-      Ty = ML->gen().Value.Body->type();
-    }
-    if (!Ty->isScalar())
-      return {};
-    // Reduce side: elementwise addition at every array level.
-    std::function<bool(const Func &, const ExprRef &, const ExprRef &,
-                       const TypeRef &)>
-        IsZipAdd = [&](const Func &R, const ExprRef &A, const ExprRef &B,
-                       const TypeRef &VTy) -> bool {
-      if (VTy->isScalar()) {
-        // Direct scalar reduce function: body == a + b.
-        const auto *Add = dyn_cast<BinOpExpr>(R.Body);
-        if (!Add || Add->op() != BinOpKind::Add)
-          return false;
-        return (structuralEq(Add->lhs(), A) && structuralEq(Add->rhs(), B)) ||
-               (structuralEq(Add->lhs(), B) && structuralEq(Add->rhs(), A));
-      }
-      const auto *ML = dyn_cast<MultiloopExpr>(R.Body);
-      if (!ML || !ML->isSingle() || ML->gen().Kind != GenKind::Collect ||
-          !isTrueCond(ML->gen().Cond))
-        return false;
-      const Func &V = ML->gen().Value;
-      ExprRef K(V.Params[0]);
-      ExprRef EA = arrayRead(A, K), EB = arrayRead(B, K);
-      std::function<bool(const ExprRef &, const ExprRef &, const ExprRef &,
-                         const TypeRef &)>
-          Elementwise = [&](const ExprRef &Body, const ExprRef &RA,
-                            const ExprRef &RB,
-                            const TypeRef &ETy) -> bool {
-        if (ETy->isScalar()) {
-          const auto *Add = dyn_cast<BinOpExpr>(Body);
-          if (!Add || Add->op() != BinOpKind::Add)
-            return false;
-          return (structuralEq(Add->lhs(), RA) &&
-                  structuralEq(Add->rhs(), RB)) ||
-                 (structuralEq(Add->lhs(), RB) &&
-                  structuralEq(Add->rhs(), RA));
-        }
-        const auto *Inner = dyn_cast<MultiloopExpr>(Body);
-        if (!Inner || !Inner->isSingle() ||
-            Inner->gen().Kind != GenKind::Collect ||
-            !isTrueCond(Inner->gen().Cond))
-          return false;
-        ExprRef K2(Inner->gen().Value.Params[0]);
-        return Elementwise(Inner->gen().Value.Body, arrayRead(RA, K2),
-                           arrayRead(RB, K2), ETy->elem());
-      };
-      return Elementwise(V.Body, EA, EB, VTy->elem());
-    };
-    if (!IsZipAdd(Gen.Reduce, ExprRef(Gen.Reduce.Params[0]),
-                  ExprRef(Gen.Reduce.Params[1]), Gen.Value.Body->type()))
-      return {};
-    return Levels;
-  }
-
   /// How the loop-transform plan modifies an in-place add (all defaults
   /// reproduce the untransformed emission).
   struct InPlaceOpts {
@@ -424,8 +348,10 @@ private:
     bool SimdInner = false;  ///< inner loop body is simd-safe
   };
 
-  /// Emits the in-place accumulation `Target[k](+)= f(k)` for the matched
-  /// Collect \p Levels (sizes first so an empty accumulator can be sized).
+  /// Emits the in-place accumulation `Target[k](+)= f(k)` for the value's
+  /// Collect \p Levels that lower::matchInPlaceAdd found, with no
+  /// per-iteration vector allocations (sizes first so an empty accumulator
+  /// can be sized).
   void emitInPlaceAdd(const std::vector<const MultiloopExpr *> &Levels,
                       const std::string &Target, Scope &Blk,
                       const std::string &Guard, const InPlaceOpts &IP) {
@@ -578,7 +504,7 @@ private:
           // the level sizes are loop-invariant (resolvable at T) — and the
           // `N > 0` guard keeps an empty loop's accumulator empty, exactly
           // as the per-iteration path leaves it.
-          auto Levels = matchInPlaceAdd(Gen);
+          auto Levels = lower::matchInPlaceAdd(Gen).Levels;
           auto Resolvable = [&](const ExprRef &Sz) {
             for (uint64_t Id : freeOf(Sz))
               if (!T.lookup(Id))
@@ -764,7 +690,7 @@ private:
         break;
       }
       case GenKind::Reduce: {
-        auto Levels = matchInPlaceAdd(Gen);
+        auto Levels = lower::matchInPlaceAdd(Gen).Levels;
         if (!Levels.empty()) {
           InPlaceOpts IP;
           IP.SkipInit = St.HoistedInit;
@@ -791,7 +717,7 @@ private:
         std::string K = fresh("k");
         if (Gen.NumKeys) {
           bool IsReduce = Gen.Kind == GenKind::BucketReduce;
-          auto Levels = IsReduce ? matchInPlaceAdd(Gen)
+          auto Levels = IsReduce ? lower::matchInPlaceAdd(Gen).Levels
                                  : std::vector<const MultiloopExpr *>();
           if (!Levels.empty()) {
             Blk.Code += Guard + "const size_t " + K + " = (size_t)(" + Key +

@@ -20,7 +20,9 @@
 /// their value computation into a vectorizable lane buffer (folded in index
 /// order, so results stay bit-identical), and in-place-add accumulators are
 /// sized once before the loop — two-level ones flattened to a row-major
-/// buffer for the duration of the loop. docs/CODEGEN.md shows the emitted
+/// buffer for the duration of the loop. Which reductions accumulate in place
+/// is codegen/LowerCommon.h matchInPlaceAdd's call, the one matcher the
+/// interpreter's in-place path shares. docs/CODEGEN.md shows the emitted
 /// C++ before and after each transform.
 ///
 /// Host-side helpers serialize an InputMap to the binary format and compute

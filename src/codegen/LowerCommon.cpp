@@ -54,6 +54,61 @@ bool lower::isScalarAddReduce(const Func &R) {
   return (L->id() == A && Rr->id() == B) || (L->id() == B && Rr->id() == A);
 }
 
+/// One unconditional single-generator Collect.
+static bool isPlainCollect(const MultiloopExpr *ML) {
+  return ML && ML->isSingle() && ML->gen().Kind == GenKind::Collect &&
+         isTrueCond(ML->gen().Cond);
+}
+
+lower::InPlaceAdd lower::matchInPlaceAdd(const Generator &Gen) {
+  InPlaceAdd M;
+  if (!Gen.isReduce() || !Gen.Reduce.isSet() ||
+      Gen.Value.Body->type()->isScalar())
+    return M;
+  unsigned Depth = 0;
+  TypeRef Ty = Gen.Value.Body->type();
+  for (; Ty->isArray() && Depth < 2; Ty = Ty->elem())
+    ++Depth;
+  if (!Ty->isScalar())
+    return M;
+  // Reduce side: per level a Collect over len(acc) reading both operands
+  // at its index, then the scalar addition of the two elements.
+  ExprRef A(Gen.Reduce.Params[0]), B(Gen.Reduce.Params[1]);
+  ExprRef Body = Gen.Reduce.Body;
+  for (unsigned L = 0; L < Depth; ++L) {
+    const auto *ML = dyn_cast<MultiloopExpr>(Body);
+    if (!isPlainCollect(ML) || !structuralEq(ML->size(), arrayLen(A)))
+      return M;
+    ExprRef K(ML->gen().Value.Params[0]);
+    A = arrayRead(A, K);
+    B = arrayRead(B, K);
+    Body = ML->gen().Value.Body;
+  }
+  const auto *Add = dyn_cast<BinOpExpr>(Body);
+  if (!Add || Add->op() != BinOpKind::Add)
+    return M;
+  if (structuralEq(Add->lhs(), A) && structuralEq(Add->rhs(), B))
+    M.AccOnLeft = true;
+  else if (structuralEq(Add->lhs(), B) && structuralEq(Add->rhs(), A))
+    M.AccOnLeft = false;
+  else
+    return M;
+  M.Depth = Depth;
+  M.Add = Add;
+  // Value side: Depth nested Collects.
+  std::vector<const MultiloopExpr *> Levels;
+  const Expr *Cur = Gen.Value.Body.get();
+  for (unsigned L = 0; L < Depth; ++L) {
+    const auto *ML = dyn_cast<MultiloopExpr>(Cur);
+    if (!isPlainCollect(ML))
+      return M;
+    Levels.push_back(ML);
+    Cur = ML->gen().Value.Body.get();
+  }
+  M.Levels = std::move(Levels);
+  return M;
+}
+
 bool lower::isBoundedGatherLoop(const ExprRef &E) {
   const auto *ML = dyn_cast<MultiloopExpr>(E);
   if (!ML || !ML->isSingle())

@@ -12,10 +12,12 @@
 /// type collapse to?" (the interpreter collapses i32/i64 to int64 and
 /// f32/f64 to double — see interp/Value.h), "is this reduction the plain
 /// scalar addition?" (which permits a zero-initialized accumulator with no
-/// first-element flag, the shape compilers vectorize), and "is this loop a
-/// bounded gather precompute?" (which a backend may evaluate speculatively —
-/// e.g. as a launch-time column — even though mayTrap() conservatively says
-/// any loop might trap).
+/// first-element flag, the shape compilers vectorize), "is it element-wise
+/// vector addition?" (which may update its accumulator in place), and "is
+/// this loop a bounded gather precompute?" (which a backend may evaluate
+/// speculatively — e.g. as a launch-time column — even though mayTrap()
+/// conservatively says any loop might trap). The interpreter asks the
+/// vector-addition question too, for its in-place fast path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,6 +45,28 @@ const char *scalarKindName(ScalarKind K);
 /// either parameter order): its accumulator may start at zero with no
 /// first-element flag, which lets lowered reduction loops vectorize.
 bool isScalarAddReduce(const Func &R);
+
+/// An element-wise-add (Bucket)Reduce, as matchInPlaceAdd finds it.
+struct InPlaceAdd {
+  /// Array levels the reduce adds through (1 or 2); 0: no match.
+  unsigned Depth = 0;
+  /// The reduce's scalar addition of the two operands' elements.
+  const BinOpExpr *Add = nullptr;
+  /// True when Add's left operand reads the accumulator (Params[0]).
+  bool AccOnLeft = true;
+  /// The value's unconditional Collect levels, outermost first, when the
+  /// value is Depth of them (the emitter then computes each element
+  /// straight into the accumulator); empty otherwise.
+  std::vector<const MultiloopExpr *> Levels;
+};
+
+/// Matches a (Bucket)Reduce \p Gen whose reduce adds its operands element
+/// by element at every array level over scalars, 1 or 2 levels deep: each
+/// level is one unconditional Collect over the length of the accumulator
+/// operand, so `acc[k] (+)= v[k]` in place yields exactly the reduce's
+/// result — the "aggressive buffer reuse" of hand-optimized code (Section
+/// 6). The C++ emitter and the interpreter both use it.
+InPlaceAdd matchInPlaceAdd(const Generator &Gen);
 
 /// True when \p E is a loop that provably cannot trap, so a backend may
 /// evaluate it speculatively — ahead of any guarding condition — the way

@@ -264,8 +264,10 @@ private:
     case 1: {
       static const BinOpKind Ops[] = {BinOpKind::Add, BinOpKind::Sub,
                                       BinOpKind::Min, BinOpKind::Max};
-      return binop(Ops[R.nextBelow(4)], genI64(E, Depth - 1, AllowLoops),
-                   genI64(E, Depth - 1, AllowLoops));
+      BinOpKind Op = Ops[R.nextBelow(4)];
+      ExprRef L = genI64(E, Depth - 1, AllowLoops);
+      // Sometimes one operand node read twice (x + x).
+      return binop(Op, L, chance(15) ? L : genI64(E, Depth - 1, AllowLoops));
     }
     case 2: // multiply by a small constant only (bounded growth)
       return binop(BinOpKind::Mul, genI64(E, Depth - 1, AllowLoops),
@@ -320,8 +322,10 @@ private:
       static const BinOpKind Ops[] = {BinOpKind::Add, BinOpKind::Sub,
                                       BinOpKind::Mul, BinOpKind::Min,
                                       BinOpKind::Max};
-      return binop(Ops[R.nextBelow(5)], genF64(E, Depth - 1, AllowLoops),
-                   genF64(E, Depth - 1, AllowLoops));
+      BinOpKind Op = Ops[R.nextBelow(5)];
+      ExprRef L = genF64(E, Depth - 1, AllowLoops);
+      // Sometimes one operand node read twice (x * x).
+      return binop(Op, L, chance(15) ? L : genF64(E, Depth - 1, AllowLoops));
     }
     case 2: // float division: /0 gives inf/NaN deterministically, no trap
       return binop(BinOpKind::Div, genF64(E, Depth - 1, AllowLoops),
@@ -491,6 +495,85 @@ private:
     }
   }
 
+  /// Element-wise addition of \p A and \p B of type \p Ty, the reduce the
+  /// interpreter folds in place: per array level a Collect over len(A);
+  /// \p Swap puts B's element on the left of the scalar addition.
+  ExprRef zipAdd(const ExprRef &A, const ExprRef &B, const TypeRef &Ty,
+                 bool Swap) {
+    if (!Ty->isArray())
+      return Swap ? binop(BinOpKind::Add, B, A) : binop(BinOpKind::Add, A, B);
+    Generator Z;
+    Z.Kind = GenKind::Collect;
+    Z.Value = indexFunc("z", [&](const ExprRef &K) {
+      return zipAdd(arrayRead(A, K), arrayRead(B, K), Ty->elem(), Swap);
+    });
+    return singleLoop(arrayLen(A), std::move(Z));
+  }
+
+  /// A Collect of \p Size scalars of type \p Elem (loop-free bodies; float
+  /// ones clamped, as every reduce value is). \p Aligned, when set, is an
+  /// array of length \p Size the body may read at the index.
+  ExprRef vectorRow(const Env &E, const ExprRef &Size, const TypeRef &Elem,
+                    const ExprRef &Aligned) {
+    Generator C;
+    C.Kind = GenKind::Collect;
+    SymRef K = freshSym("v", Type::i64());
+    Env Row = E;
+    Row.I64s.push_back(K);
+    Row.Aligned.clear();
+    if (Aligned)
+      Row.Aligned.emplace_back(Aligned, K);
+    C.Value = Func({K}, Elem->isFloat() ? clampF64(genF64(Row, 2, false))
+                                        : genI64(Row, 2, false));
+    return singleLoop(Size, std::move(C));
+  }
+
+  /// Value and reduce of an element-wise-add vector (Bucket)Reduce with
+  /// index \p I over \p Body: 1 or 2 Collect levels of constant sizes, so
+  /// every value has the accumulator's shape; sometimes an in-scope array
+  /// instead (an input or an earlier root's closed loop, which the
+  /// accumulator starts as and must never write through); and, as the
+  /// adversarial site, a value that shrinks as the index grows, so a fold
+  /// reads past its end.
+  void genVectorReduce(Generator &G, const Env &Body, const SymRef &I) {
+    TypeRef Elem = chance(50) ? Type::i64() : Type::f64();
+    bool TwoLevels = chance(30);
+    std::vector<ExprRef> Shared =
+        TwoLevels ? std::vector<ExprRef>() : arraysOf(Body, Elem);
+    ExprRef V;
+    if (!Shared.empty() && chance(40)) {
+      ExprRef Arr = Shared[R.nextBelow(Shared.size())];
+      V = chance(50) ? Arr
+                     : select(genBool(Body, 1), Arr,
+                              vectorRow(Body, arrayLen(Arr), Elem, Arr));
+    } else {
+      ExprRef Size = constI64(irange(1, 4));
+      if (Adversarial && !AdvPlaced && chance(30)) {
+        AdvPlaced = true;
+        Size = binop(BinOpKind::Max,
+                     binop(BinOpKind::Sub, Size, ExprRef(I)), constI64(0));
+      }
+      if (TwoLevels) {
+        Generator Outer;
+        Outer.Kind = GenKind::Collect;
+        SymRef J = freshSym("w", Type::i64());
+        Env Row = Body;
+        Row.I64s.push_back(J);
+        Row.Aligned.clear();
+        Outer.Value =
+            Func({J}, vectorRow(Row, constI64(irange(1, 3)), Elem, nullptr));
+        V = singleLoop(Size, std::move(Outer));
+      } else {
+        V = vectorRow(Body, Size, Elem, nullptr);
+      }
+    }
+    G.Value = Func({I}, V);
+    bool Swap = chance(50);
+    G.Reduce = binFunc("r", V->type(), [&](const ExprRef &A, const ExprRef &B) {
+      return zipAdd(A, B, V->type(), Swap);
+    });
+  }
+
   /// One full generator (any of the four kinds) for a loop over \p Size.
   Generator genGenerator(const Env &Outer, const ExprRef &AlignedArr,
                          bool AllowNested) {
@@ -509,11 +592,15 @@ private:
     if (AlignedArr)
       Body.Aligned.emplace_back(AlignedArr, I);
 
-    // Value type: scalars mostly; structs and nested collects too.
+    // Value type: scalars mostly; structs, nested collects and vectors
+    // that the reduce kinds add element-wise too.
     TypeRef VTy;
     uint64_t T = R.nextBelow(100);
     bool Nested = AllowNested && Body.LoopDepth < O.MaxLoopDepth;
-    if (T < 40)
+    bool Vector = Nested && G.isReduce() && chance(20);
+    if (Vector)
+      genVectorReduce(G, Body, I);
+    else if (T < 40)
       VTy = Type::i64();
     else if (T < 75)
       VTy = Type::f64();
@@ -526,7 +613,9 @@ private:
     else
       VTy = Type::i64();
 
-    if (!VTy) {
+    if (Vector) {
+      // Value and reduce are set.
+    } else if (!VTy) {
       ExprRef InnerAligned;
       Env Inner = Body;
       ExprRef InnerSize = genSize(Inner, &InnerAligned);
@@ -585,7 +674,7 @@ private:
       }
     }
 
-    if (G.isReduce())
+    if (G.isReduce() && !Vector)
       G.Reduce = genReduceFunc(G.Value.Body->type());
     return G;
   }

@@ -9,9 +9,12 @@
 /// data, in the spirit of structured IR fuzzing (grammar-directed, always
 /// verifier-clean). Programs exercise all four generator kinds, nested
 /// multiloops, non-trivial conditions and keys, struct and array values,
-/// DAG sharing, and — at a controlled rate — adversarial sites (unguarded
-/// division, INT64_MIN literals, out-of-range dense keys, 0-length ranges)
-/// whose traps the differential oracle cross-checks between executors.
+/// element-wise-add vector (Bucket)Reduces 1 and 2 levels deep (some
+/// starting from a shared input or loop result), BinOps reading one node
+/// twice, DAG sharing, and — at a controlled rate — adversarial sites
+/// (unguarded division, INT64_MIN literals, out-of-range dense keys,
+/// 0-length ranges, vector values shorter than their accumulator) whose
+/// traps the differential oracle cross-checks between executors.
 /// Generation is fully deterministic: the same seed always produces the
 /// same program (up to symbol ids, i.e. alpha-equivalence) and input data.
 ///

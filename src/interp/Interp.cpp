@@ -2,6 +2,7 @@
 
 #include "interp/Interp.h"
 
+#include "codegen/LowerCommon.h"
 #include "engine/KernelCompiler.h"
 #include "engine/KernelVM.h"
 #include "faultinject/FaultInject.h"
@@ -55,6 +56,90 @@ struct Scope {
   }
 };
 
+/// How runRange folds a value into one generator's accumulator without
+/// evaluating the reduce function, when it can; computed once per run.
+struct GenFacts {
+  /// An element-wise-add vector reduce: accumulated in place.
+  lower::InPlaceAdd InPlace;
+  /// A scalar reduce whose body is one BinOp of its parameters: applied to
+  /// the operands directly, with no scope. Lhs/RhsAcc: which operand is the
+  /// accumulator (Params[0]) rather than the new value.
+  const BinOpExpr *Direct = nullptr;
+  bool LhsAcc = false, RhsAcc = false;
+};
+
+GenFacts factsOf(const Generator &Gen) {
+  GenFacts F;
+  if (!Gen.isReduce() || !Gen.Reduce.isSet())
+    return F;
+  F.InPlace = lower::matchInPlaceAdd(Gen);
+  const auto *B = dyn_cast<BinOpExpr>(Gen.Reduce.Body);
+  if (!B)
+    return F;
+  const auto *L = dyn_cast<SymExpr>(B->lhs());
+  const auto *R = dyn_cast<SymExpr>(B->rhs());
+  uint64_t Acc = Gen.Reduce.Params[0]->id(), New = Gen.Reduce.Params[1]->id();
+  auto IsParam = [&](const SymExpr *S) {
+    return S && (S->id() == Acc || S->id() == New);
+  };
+  if (IsParam(L) && IsParam(R)) {
+    F.Direct = B;
+    F.LhsAcc = L->id() == Acc;
+    F.RhsAcc = R->id() == Acc;
+  }
+  return F;
+}
+
+/// runRange's checkpoint cadence: every CheckpointInterval iterations, and
+/// once at the end, the iterations and (shallow, per-element) memory
+/// charged since the last checkpoint flush to RunControl, which throws
+/// TrapError on any exceeded limit, and the fault injector's Trap hook gets
+/// a firing opportunity. The in-place reduce path counts its skipped loops
+/// through it too, so they charge exactly as if they ran.
+struct Checkpoints {
+  RunControl *Control;
+  int64_t SinceCheck = 0;
+  int64_t PendingElems = 0;
+
+  /// Called at the top of each iteration.
+  void step() {
+    if (++SinceCheck >= CheckpointInterval)
+      flush();
+  }
+  /// Called after the last iteration.
+  void done() {
+    if (SinceCheck || PendingElems)
+      flush();
+  }
+  void flush() {
+    if (faults::shouldFire(faults::Hook::Trap))
+      trap("injected trap");
+    if (Control) {
+      Control->chargeIterations(SinceCheck);
+      if (PendingElems)
+        Control->chargeMemory(PendingElems *
+                              static_cast<int64_t>(sizeof(Value)));
+      Control->checkpoint();
+    }
+    SinceCheck = 0;
+    PendingElems = 0;
+  }
+};
+
+/// Element \p Idx of array \p Arr, trapping like an out-of-range ArrayRead.
+const Value &elemAt(const Value &Arr, int64_t Idx) {
+  if (Idx < 0 || static_cast<size_t>(Idx) >= Arr.arraySize())
+    trap("array read out of range: index " + std::to_string(Idx) +
+         ", size " + std::to_string(Arr.arraySize()));
+  return Arr.at(static_cast<size_t>(Idx));
+}
+
+/// The array \p V holds when \p V is its only owner, else null.
+ArrayData *ownedArray(const Value &V) {
+  const ArrayPtr &A = V.array();
+  return A.use_count() == 1 ? A.get() : nullptr;
+}
+
 class Evaluator {
 public:
   explicit Evaluator(const InputMap &Inputs) : Inputs(Inputs) {}
@@ -78,6 +163,23 @@ public:
     for (const LoopCost &C :
          analyzeCosts(P, PartitionInfo(), sizeEnvFromInputs(P, Inputs)))
       OwnShared.Work.emplace(C.Loop, C.FlopsPerIter);
+    prepare(P.Result);
+  }
+
+  /// Builds the run's read-only tables for the nodes reachable from \p
+  /// Root: each input read's binding and each multiloop's GenFacts.
+  void prepare(const ExprRef &Root) {
+    visitAll(Root, [&](const ExprRef &N) {
+      if (const auto *In = dyn_cast<InputExpr>(N)) {
+        auto It = Inputs.find(In->name());
+        OwnShared.InputSlots.emplace(
+            N.get(), It == Inputs.end() ? nullptr : &It->second);
+      } else if (const auto *ML = dyn_cast<MultiloopExpr>(N)) {
+        std::vector<GenFacts> &Facts = OwnShared.Facts[ML];
+        for (const Generator &Gen : ML->gens())
+          Facts.push_back(factsOf(Gen));
+      }
+    });
   }
 
   Value evalTop(const ExprRef &E) {
@@ -129,6 +231,12 @@ private:
     /// Static work per iteration of each closed multiloop (analysis/Cost.h
     /// FlopsPerIter), the chunk rule's input; read-only during the run.
     std::unordered_map<const Expr *, double> Work;
+    /// Per-generator fast-path facts of each multiloop and the binding of
+    /// each input read (null when unbound), built once per run by prepare();
+    /// read-only during the run. Nodes missing from them (built after the
+    /// run began) take the general paths.
+    std::unordered_map<const Expr *, std::vector<GenFacts>> Facts;
+    std::unordered_map<const Expr *, const Value *> InputSlots;
   };
   SharedState OwnShared;
   SharedState *Shared = &OwnShared;
@@ -170,6 +278,61 @@ private:
                             {R.Params[1]->id(), std::move(B)}};
     Scope Child{&S, Args, {}};
     return eval(R.Body, Child);
+  }
+
+  /// Folds \p V into \p Acc with \p Gen's reduce: in place or directly when
+  /// \p F allows it, else through applyReduce, always to the same bits.
+  void reduceInto(const Generator &Gen, const GenFacts *F, Value &Acc,
+                  Value V, Scope &S) {
+    if (F && F->InPlace.Depth && addInPlace(F->InPlace, Acc, V))
+      return;
+    if (F && F->Direct) {
+      Acc = binOpValue(F->Direct, F->LhsAcc ? Acc : V, F->RhsAcc ? Acc : V);
+      return;
+    }
+    Acc = applyReduce(Gen.Reduce, std::move(Acc), std::move(V), S);
+  }
+
+  /// `Acc (+)= V` element by element in place, for a reduce \p M matched:
+  /// the bits applyReduce would build, the same trap at the same element,
+  /// and the same charges at the same checkpoints as the reduce's Collects
+  /// running (one per level), with no scope, memo or array allocated.
+  /// False, touching nothing, when the accumulator or one of its rows has
+  /// another owner (an input, a memoized loop result).
+  bool addInPlace(const lower::InPlaceAdd &M, Value &Acc, const Value &V) {
+    ArrayData *A = ownedArray(Acc);
+    if (!A)
+      return false;
+    if (M.Depth == 2)
+      for (const Value &Row : *A)
+        if (!ownedArray(Row))
+          return false;
+    auto Add = [&](Value &X, const Value &Y) {
+      X = M.AccOnLeft ? binOpValue(M.Add, X, Y) : binOpValue(M.Add, Y, X);
+    };
+    Checkpoints Outer{Control};
+    for (size_t K = 0; K < A->size(); ++K) {
+      Outer.step();
+      if (M.Depth == 1) {
+        Add((*A)[K], elemAt(V, static_cast<int64_t>(K)));
+      } else {
+        // The inner Collect reads V's row K first at its first element.
+        ArrayData &Row = *(*A)[K].array();
+        const Value *VRow = nullptr;
+        Checkpoints Inner{Control};
+        for (size_t K2 = 0; K2 < Row.size(); ++K2) {
+          Inner.step();
+          if (!VRow)
+            VRow = &elemAt(V, static_cast<int64_t>(K));
+          Add(Row[K2], elemAt(*VRow, static_cast<int64_t>(K2)));
+          ++Inner.PendingElems;
+        }
+        Inner.done();
+      }
+      ++Outer.PendingElems;
+    }
+    Outer.done();
+    return true;
   }
 
   /// Per-generator accumulation state; chunk-local during parallel
@@ -219,31 +382,20 @@ private:
     return States;
   }
 
-  /// Runs [Begin, End) of the loop, accumulating into \p States.
-  ///
-  /// Every CheckpointInterval iterations this is also a cancellation /
-  /// budget checkpoint: accumulated iteration and (shallow, per-element)
-  /// memory charges flush to RunControl, which throws TrapError on any
-  /// exceeded limit, and the fault injector's Trap hook gets a firing
-  /// opportunity. Enforcement granularity is therefore the checkpoint
+  /// The run's GenFacts for \p ML's generators; null when it has none.
+  const GenFacts *factsFor(const MultiloopExpr *ML) const {
+    auto It = Shared->Facts.find(ML);
+    return It == Shared->Facts.end() ? nullptr : It->second.data();
+  }
+
+  /// Runs [Begin, End) of the loop, accumulating into \p States. Every
+  /// CheckpointInterval iterations this is also a cancellation / budget
+  /// checkpoint (Checkpoints), so enforcement granularity is the checkpoint
   /// interval, never a single iteration.
   void runRange(const MultiloopExpr *ML, int64_t Begin, int64_t End,
                 std::vector<GenState> &States, Scope &S) {
-    int64_t SinceCheck = 0;
-    int64_t PendingElems = 0;
-    auto Flush = [&] {
-      if (faults::shouldFire(faults::Hook::Trap))
-        trap("injected trap");
-      if (Control) {
-        Control->chargeIterations(SinceCheck);
-        if (PendingElems)
-          Control->chargeMemory(PendingElems *
-                                static_cast<int64_t>(sizeof(Value)));
-        Control->checkpoint();
-      }
-      SinceCheck = 0;
-      PendingElems = 0;
-    };
+    Checkpoints Chk{Control};
+    const GenFacts *Facts = factsFor(ML);
     // One scope per iteration binds the index parameter of every
     // generator's cond, key and value (fused generators share one), so a
     // loop-varying subexpression that several parts read is memoized once
@@ -255,20 +407,20 @@ private:
             std::ranges::count(Index, F->Params[0]->id(), &Binding::first) == 0)
           Index.emplace_back(F->Params[0]->id(), Value());
     for (int64_t I = Begin; I < End; ++I) {
-      if (++SinceCheck >= CheckpointInterval)
-        Flush();
+      Chk.step();
       for (Binding &B : Index)
         B.second = Value(I);
       Scope Iter{&S, Index, {}};
       for (size_t G = 0; G < ML->numGens(); ++G) {
         const Generator &Gen = ML->gen(G);
+        const GenFacts *F = Facts ? &Facts[G] : nullptr;
         GenState &St = States[G];
         if (Gen.Cond.isSet() && !eval(Gen.Cond.Body, Iter).asBool())
           continue;
         Value V = eval(Gen.Value.Body, Iter);
         switch (Gen.Kind) {
         case GenKind::Collect:
-          ++PendingElems;
+          ++Chk.PendingElems;
           St.Collected.push_back(std::move(V));
           break;
         case GenKind::Reduce:
@@ -276,13 +428,12 @@ private:
             St.Acc = std::move(V);
             St.HasAcc = true;
           } else {
-            St.Acc = applyReduce(Gen.Reduce, std::move(St.Acc), std::move(V),
-                                 S);
+            reduceInto(Gen, F, St.Acc, std::move(V), S);
           }
           break;
         case GenKind::BucketCollect:
         case GenKind::BucketReduce: {
-          ++PendingElems;
+          ++Chk.PendingElems;
           int64_t Key = eval(Gen.Key.Body, Iter).toInt();
           if (Gen.NumKeys) {
             if (Key < 0 || Key >= St.NumKeys)
@@ -295,8 +446,7 @@ private:
               St.DenseVals[K] = std::move(V);
               St.DenseHas[K] = 1;
             } else {
-              St.DenseVals[K] = applyReduce(
-                  Gen.Reduce, std::move(St.DenseVals[K]), std::move(V), S);
+              reduceInto(Gen, F, St.DenseVals[K], std::move(V), S);
             }
           } else {
             auto [It, Inserted] =
@@ -314,8 +464,7 @@ private:
             } else if (Inserted) {
               St.HashVals[K] = std::move(V);
             } else {
-              St.HashVals[K] = applyReduce(
-                  Gen.Reduce, std::move(St.HashVals[K]), std::move(V), S);
+              reduceInto(Gen, F, St.HashVals[K], std::move(V), S);
             }
           }
           break;
@@ -323,15 +472,16 @@ private:
         }
       }
     }
-    if (SinceCheck || PendingElems)
-      Flush();
+    Chk.done();
   }
 
   /// Merges the chunk state \p Next (covering later indices) into \p Acc.
   void mergeStates(const MultiloopExpr *ML, std::vector<GenState> &Acc,
                    std::vector<GenState> &Next, Scope &S) {
+    const GenFacts *Facts = factsFor(ML);
     for (size_t G = 0; G < ML->numGens(); ++G) {
       const Generator &Gen = ML->gen(G);
+      const GenFacts *F = Facts ? &Facts[G] : nullptr;
       GenState &A = Acc[G];
       GenState &B = Next[G];
       switch (Gen.Kind) {
@@ -345,8 +495,7 @@ private:
           A.Acc = std::move(B.Acc);
           A.HasAcc = B.HasAcc;
         } else if (B.HasAcc) {
-          A.Acc =
-              applyReduce(Gen.Reduce, std::move(A.Acc), std::move(B.Acc), S);
+          reduceInto(Gen, F, A.Acc, std::move(B.Acc), S);
         }
         break;
       case GenKind::BucketCollect:
@@ -363,9 +512,8 @@ private:
                 A.DenseVals[K] = std::move(B.DenseVals[K]);
                 A.DenseHas[K] = 1;
               } else {
-                A.DenseVals[K] =
-                    applyReduce(Gen.Reduce, std::move(A.DenseVals[K]),
-                                std::move(B.DenseVals[K]), S);
+                reduceInto(Gen, F, A.DenseVals[K], std::move(B.DenseVals[K]),
+                           S);
               }
             }
           }
@@ -389,9 +537,7 @@ private:
                   std::make_move_iterator(B.HashColl[BK].begin()),
                   std::make_move_iterator(B.HashColl[BK].end()));
             else
-              A.HashVals[K] =
-                  applyReduce(Gen.Reduce, std::move(A.HashVals[K]),
-                              std::move(B.HashVals[BK]), S);
+              reduceInto(Gen, F, A.HashVals[K], std::move(B.HashVals[BK]), S);
           }
         }
         break;
@@ -573,6 +719,35 @@ private:
     return Value::makeStruct(std::move(Outs));
   }
 
+  /// The closed Multiloop and Flatten nodes \p ML's generators read (not
+  /// looking inside them) that cannot trap — KernelCompiler's rule for
+  /// columns — in the order a sequential run first reaches them.
+  std::vector<ExprRef> hoistable(const MultiloopExpr *ML) {
+    std::vector<ExprRef> Out, Stack;
+    for (size_t G = ML->numGens(); G-- > 0;) {
+      const Generator &Gen = ML->gen(G);
+      for (const Func *F : {&Gen.Reduce, &Gen.Key, &Gen.Value, &Gen.Cond})
+        if (F->isSet())
+          Stack.push_back(F->Body);
+    }
+    std::unordered_set<const Expr *> Seen;
+    while (!Stack.empty()) {
+      ExprRef N = std::move(Stack.back());
+      Stack.pop_back();
+      if (!Seen.insert(N.get()).second)
+        continue;
+      if ((isa<MultiloopExpr>(N) || isa<FlattenExpr>(N)) &&
+          freeOf(N).empty()) {
+        if (!mayTrap(N) || lower::isBoundedGatherLoop(N))
+          Out.push_back(N);
+        continue;
+      }
+      std::vector<ExprRef> Kids = exprChildren(N);
+      Stack.insert(Stack.end(), Kids.rbegin(), Kids.rend());
+    }
+    return Out;
+  }
+
   /// Runs closed multiloop \p ML on the interpreter in \p Rec's chunk
   /// count: chunked over the pool, or sequentially when it is 1.
   Value interpLoop(const MultiloopExpr *ML, Scope &S, LoopProfile &Rec,
@@ -585,6 +760,12 @@ private:
       runRange(ML, 0, N, States, S);
       return finish(ML, States);
     }
+    // Closed loops the chunks read that cannot trap run first, here, with
+    // the whole pool (once per run, through memoized): left to the chunks,
+    // the first worker to reach one would run it alone while the others
+    // wait on its latch.
+    for (const ExprRef &C : hoistable(ML))
+      memoized(C, S);
     // Chunked parallel execution (Section 5): workers evaluate disjoint
     // subranges with independent evaluators; chunk states merge in index
     // order, so element order and first-occurrence key order match the
@@ -762,6 +943,9 @@ private:
       trap("unbound symbol " + Sym->name() + std::to_string(Sym->id()));
     }
     case ExprKind::Input: {
+      auto Slot = Shared->InputSlots.find(E.get());
+      if (Slot != Shared->InputSlots.end() && Slot->second)
+        return *Slot->second;
       const auto *In = cast<InputExpr>(E);
       auto It = Inputs.find(In->name());
       if (It == Inputs.end())
@@ -774,11 +958,7 @@ private:
     case ExprKind::ArrayRead: {
       const auto *R = cast<ArrayReadExpr>(E);
       const Value &Arr = evalRef(R->array(), S, Tmp);
-      int64_t Idx = eval(R->index(), S).toInt();
-      if (Idx < 0 || static_cast<size_t>(Idx) >= Arr.arraySize())
-        trap("array read out of range: index " + std::to_string(Idx) +
-             ", size " + std::to_string(Arr.arraySize()));
-      return Arr.at(static_cast<size_t>(Idx));
+      return elemAt(Arr, eval(R->index(), S).toInt());
     }
     case ExprKind::GetField: {
       const auto *G = cast<GetFieldExpr>(E);
@@ -795,7 +975,17 @@ private:
 
   Value evalBinOp(const BinOpExpr *B, Scope &S) {
     Value L = eval(B->lhs(), S);
-    Value R = eval(B->rhs(), S);
+    // x * x reads one node twice. Evaluating it once is unobservable: a
+    // trap fires on the first evaluation, and loops, which alone charge
+    // budgets, are memoized.
+    if (B->rhs().get() == B->lhs().get())
+      return binOpValue(B, L, L);
+    return binOpValue(B, L, eval(B->rhs(), S));
+  }
+
+  /// \p B applied to the operand values \p L and \p R.
+  static Value binOpValue(const BinOpExpr *B, const Value &L,
+                          const Value &R) {
     BinOpKind Op = B->op();
     switch (Op) {
     case BinOpKind::And:
@@ -977,7 +1167,9 @@ size_t KernelReuseCache::size() const {
 }
 
 Value dmll::evalProgram(const Program &P, const InputMap &Inputs) {
-  return Evaluator(Inputs).evalTop(P.Result);
+  Evaluator E(Inputs);
+  E.prepare(P.Result);
+  return E.evalTop(P.Result);
 }
 
 ExecResult dmll::evalProgramRecover(const Program &P, const InputMap &Inputs,

@@ -21,7 +21,20 @@
 ///    binds one of their free symbols, so a loop shared by several consumers
 ///    executes once per iteration and loop-invariant inner loops are hoisted
 ///    implicitly; a closed one executes once per run, even when the loops
-///    around it run chunked.
+///    around it run chunked. Before a loop starts its chunks, the closed
+///    loops its generators read that cannot trap (per mayTrap, or bounded
+///    gathers) run on the whole pool, not in the first chunk to reach them.
+///  * Four fast paths skip per-element work and are unobservable — the same
+///    bits, the same trap message at the same element, the same iterations
+///    and memory charged at the same checkpoints, the same fault-hook
+///    opportunities:
+///    - an element-wise-add vector (Bucket)Reduce (codegen/LowerCommon.h
+///      matchInPlaceAdd) adds each value into its accumulator in place
+///      unless another handle (an input, a memoized loop) owns it;
+///    - a scalar reduce whose body is one BinOp of its parameters is
+///      applied without building a scope;
+///    - a BinOp whose two operands are one node (x * x) evaluates it once;
+///    - input reads resolve through a table built once per run.
 ///
 //===----------------------------------------------------------------------===//
 

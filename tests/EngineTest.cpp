@@ -426,6 +426,37 @@ TEST(EngineChunking, NestedCatalogAppsSplitRowLoopsByWork) {
   }
 }
 
+/// pagerank@10's chunked interpreter loop reads a closed gather loop
+/// (N = 2,048, work 3). The loop's evaluator runs it on the whole pool
+/// before the chunks start — in 7 chunks at 4 threads and MinChunk 1024 —
+/// instead of in the one chunk worker that reaches it first; the result is
+/// unchanged.
+TEST(EngineChunking, ClosedGatherLoopRunsBeforeTheChunks) {
+  service::AppCase C;
+  ASSERT_TRUE(service::makeApp("pagerank", 10, C));
+  CompileResult CR = compileProgram(C.P, CompileOptions());
+  InputMap In = adaptInputs(C.P, CR, C.Inputs);
+  ExecProfile Prof;
+  EvalOptions Opts;
+  Opts.Threads = 4;
+  Opts.MinChunk = 1024;
+  Opts.Mode = engine::EngineMode::Auto;
+  Opts.Profile = &Prof;
+  Value Out = testutil::evalOk(CR.P, In, Opts);
+  EXPECT_TRUE(Out.deepEquals(evalProgram(CR.P, In), 0.0));
+  // The interpreter loop has the same signature and length; the gather is
+  // the one the kernel engine runs.
+  int Gathers = 0;
+  for (const LoopProfile &L : Prof.Loops)
+    if (L.Loop == "Multiloop[Collect]" && L.Engine == "kernel") {
+      EXPECT_EQ(L.Iters, 2048);
+      ++Gathers;
+      EXPECT_EQ(L.Threads, 4u);
+      EXPECT_EQ(L.Chunks, 7);
+    }
+  EXPECT_EQ(Gathers, 1);
+}
+
 TEST(EngineStats, AutoModeSkipsTinyLoops) {
   ProgramBuilder B;
   Val Xs = B.inVecF64("xs");

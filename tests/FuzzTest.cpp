@@ -65,6 +65,7 @@ TEST(FuzzGen, AlwaysVerifierCleanAndCoversTheGrammar) {
   bool SawKind[4] = {false, false, false, false};
   bool SawCond = false, SawDense = false, SawNested = false;
   bool SawMultiGen = false, SawEmptyInput = false, SawStructValue = false;
+  bool SawVectorReduce = false, SawSharedOperand = false;
   for (uint64_t S = 1; S <= 150; ++S) {
     FuzzCase C = generateCase(S);
     EXPECT_TRUE(verify(C.P).empty()) << "seed " << S;
@@ -79,9 +80,15 @@ TEST(FuzzGen, AlwaysVerifierCleanAndCoversTheGrammar) {
         if (G.Value.isSet()) {
           SawStructValue |= G.Value.Body->type()->isStruct();
           SawNested |= !collectMultiloops(G.Value.Body).empty();
+          SawVectorReduce |=
+              G.isReduce() && G.Value.Body->type()->isArray();
         }
       }
     }
+    visitAll(C.P.Result, [&](const ExprRef &N) {
+      const auto *B = dyn_cast<BinOpExpr>(N);
+      SawSharedOperand |= B && B->lhs().get() == B->rhs().get();
+    });
     for (const auto &[Name, V] : C.Inputs)
       if (V.isArray() && V.arraySize() == 0)
         SawEmptyInput = true;
@@ -93,6 +100,8 @@ TEST(FuzzGen, AlwaysVerifierCleanAndCoversTheGrammar) {
   EXPECT_TRUE(SawMultiGen);
   EXPECT_TRUE(SawEmptyInput);
   EXPECT_TRUE(SawStructValue);
+  EXPECT_TRUE(SawVectorReduce);
+  EXPECT_TRUE(SawSharedOperand);
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,7 +1,9 @@
 //===- tests/InterpTest.cpp - Reference interpreter tests ------*- C++ -*-===//
 
+#include "TestUtil.h"
 #include "data/Datasets.h"
 #include "frontend/Frontend.h"
+#include "fuzz/RefEval.h"
 #include "interp/Interp.h"
 #include "ir/Builder.h"
 
@@ -14,6 +16,30 @@ namespace {
 
 Value vec(std::initializer_list<double> Xs) {
   return Value::arrayOfDoubles(std::vector<double>(Xs));
+}
+
+/// Element-wise vector addition, the reduce the in-place path matches.
+Val vecAdd(Val A, Val B) {
+  return zipWith(A, B, [](Val X, Val Y) { return X + Y; });
+}
+
+/// 40 integer-valued doubles: float sums of them are exact in any order,
+/// so every run must equal the reference bit for bit.
+InputMap fortyXs() {
+  std::vector<double> Xs;
+  for (int I = 0; I < 40; ++I)
+    Xs.push_back((I * 7) % 11 - 5);
+  return {{"xs", Value::arrayOfDoubles(Xs)}};
+}
+
+/// \p P at 1 and 4 threads, chunked as finely as the chunk rule allows,
+/// must equal the independent reference evaluator bit for bit.
+void expectMatchesRef(const Program &P, const InputMap &In) {
+  Value Ref = fuzz::refEval(P, In);
+  EXPECT_TRUE(evalProgram(P, In).deepEquals(Ref, 0.0));
+  for (unsigned Threads : {1u, 4u})
+    EXPECT_TRUE(testutil::evalOk(P, In, Threads, 1).deepEquals(Ref, 0.0))
+        << Threads << " threads";
 }
 
 } // namespace
@@ -177,4 +203,83 @@ TEST(InterpTest, DistSqAndDot) {
   Value Out = evalProgram(
       P1, {{"a", vec({1, 2})}, {"b", vec({4, 6})}});
   EXPECT_DOUBLE_EQ(Out.asFloat(), 25.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Fast paths: in-place vector reductions, direct scalar reductions, one
+// evaluation per shared operand. Each must be unobservable.
+//===----------------------------------------------------------------------===//
+
+TEST(InterpFastPath, VectorReduceOneAndTwoLevels) {
+  ProgramBuilder B;
+  Val Xs = B.inVecF64("xs");
+  Val XsV = Xs;
+  Program One = B.build(sumRange(Xs.len(), [&](Val I) {
+    return tabulate(Val(int64_t(4)),
+                    [&](Val K) { return XsV(I) * toF64(K); });
+  }));
+  expectMatchesRef(One, fortyXs());
+  Program Two = B.build(sumRange(Xs.len(), [&](Val I) {
+    return tabulate(Val(int64_t(3)), [&](Val J) {
+      return tabulate(Val(int64_t(2)),
+                      [&](Val K) { return XsV(I) + toF64(J * K); });
+    });
+  }));
+  expectMatchesRef(Two, fortyXs());
+}
+
+TEST(InterpFastPath, DenseAndHashBucketReduceWithVectorValues) {
+  ProgramBuilder B;
+  Val Xs = B.inVecF64("xs");
+  Val XsV = Xs;
+  auto Key = [&](Val I) { return I % Val(int64_t(3)); };
+  auto Row = [&](Val I) {
+    return tabulate(Val(int64_t(5)), [&](Val K) { return XsV(I) - toF64(K); });
+  };
+  expectMatchesRef(B.build(bucketReduceDense(Xs.len(), Key, Row, vecAdd,
+                                             Val(int64_t(4)))),
+                   fortyXs());
+  expectMatchesRef(B.build(bucketReduceHash(Xs.len(), Key, Row, vecAdd)),
+                   fortyXs());
+}
+
+TEST(InterpFastPath, SharedFirstValueIsNotMutated) {
+  // Every value is the input array itself, or one closed loop's result:
+  // the accumulator starts as a handle someone else owns.
+  ProgramBuilder B;
+  Val Xs = B.inVecF64("xs");
+  Val XsV = Xs;
+  Val Doubled = map(Xs, [](Val X) { return X * Val(2.0); });
+  Program P = B.build(makeStruct(
+      {{"input", Type::arrayOf(Type::f64())},
+       {"closed", Type::arrayOf(Type::f64())}},
+      {sumRange(Val(int64_t(6)), [&](Val) { return XsV; }).expr(),
+       sumRange(Val(int64_t(6)), [&](Val) { return Doubled; }).expr()}));
+  InputMap In = fortyXs();
+  Value Before = Value::makeArray(*In.at("xs").array());
+  expectMatchesRef(P, In);
+  EXPECT_TRUE(In.at("xs").deepEquals(Before, 0.0));
+}
+
+TEST(InterpFastPath, SharedOperandAndDirectScalarReduces) {
+  // sum_i (xs(i) - 1)^2 as one BinOp reading one node twice, plus min and
+  // max reduces whose bodies are one BinOp of their parameters.
+  ProgramBuilder B;
+  Val Xs = B.inVecF64("xs");
+  Val XsV = Xs;
+  auto D = [&](Val I) { return XsV(I) - Val(1.0); };
+  auto ByOp = [&](BinOpKind Op) {
+    return reduceRange(Xs.len(), D, [&](Val A, Val C) {
+      return Val(binop(Op, A.expr(), C.expr()));
+    });
+  };
+  Val SumSq = sumRange(Xs.len(), [&](Val I) {
+    Val X = D(I);
+    return X * X;
+  });
+  Program P = B.build(makeStruct(
+      {{"sq", Type::f64()}, {"lo", Type::f64()}, {"hi", Type::f64()}},
+      {SumSq.expr(), ByOp(BinOpKind::Min).expr(),
+       ByOp(BinOpKind::Max).expr()}));
+  expectMatchesRef(P, fortyXs());
 }

@@ -14,12 +14,15 @@
 #include "data/Datasets.h"
 #include "faultinject/FaultInject.h"
 #include "frontend/Frontend.h"
+#include "fuzz/RefEval.h"
 #include "interp/Interp.h"
 #include "runtime/Executor.h"
 #include "runtime/ThreadPool.h"
 #include "support/Error.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
 
 using namespace dmll;
 using namespace dmll::frontend;
@@ -241,6 +244,109 @@ TEST(RecoverTest, SharedIterationScopeChargesAnInnerLoopOnce) {
   EXPECT_EQ(R.Status, ExecStatus::BudgetExceeded);
   EXPECT_NE(R.TrapMessage.find("808 iterations"), std::string::npos)
       << R.TrapMessage;
+}
+
+//===----------------------------------------------------------------------===//
+// The interpreter's fast paths trap and charge like the general paths.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The independent reference evaluator's trap message on \p P.
+std::string refTrap(const Program &P, const InputMap &In) {
+  try {
+    fuzz::refEval(P, In);
+  } catch (const TrapError &E) {
+    return E.message();
+  }
+  return "";
+}
+
+} // namespace
+
+TEST(RecoverTest, InPlaceReduceTrapsOnAShorterValue) {
+  // Row i holds 8 - i elements: folding row 1 into the 8-element
+  // accumulator reads its element 7, one past its end (at 4 threads the
+  // rows run in separate chunks and the merge does the same fold).
+  ProgramBuilder B;
+  Val N = B.inI64("n");
+  Program P = B.build(sumRange(N, [](Val I) {
+    return tabulate(Val(int64_t(8)) - I, [](Val K) { return toF64(K); });
+  }));
+  InputMap In{{"n", Value(int64_t(3))}};
+  const std::string Msg = "array read out of range: index 7, size 7";
+  EXPECT_EQ(refTrap(P, In), Msg);
+  for (unsigned Threads : {1u, 4u}) {
+    ExecResult R = recoverRun(P, In, engine::EngineMode::Interp, Threads);
+    EXPECT_EQ(R.Status, ExecStatus::Trapped) << Threads << " threads";
+    EXPECT_EQ(R.TrapMessage, Msg) << Threads << " threads";
+  }
+}
+
+TEST(RecoverTest, InPlaceReduceChargesTheLoopsItSkips) {
+  // 50 rows of a 3 x 4 value: the row loop's 50 iterations, 3 + 12 per
+  // value and 3 + 12 per fold (the reduce's two Collect levels) for the 49
+  // folds come to 50 + 50 * 15 + 49 * 15 = 1,535 iterations, and the
+  // Collects' 99 * 15 = 1,485 elements to 1,485 Values of memory, folded in
+  // place or not.
+  ProgramBuilder B;
+  Val Xs = B.inVecI64("xs");
+  Val XsV = Xs;
+  Program P = B.build(sumRange(Xs.len(), [&](Val I) {
+    return tabulate(Val(int64_t(3)), [&](Val J) {
+      return tabulate(Val(int64_t(4)), [&](Val K) { return XsV(I) * J + K; });
+    });
+  }));
+  InputMap In{{"xs", Value::arrayOfInts(std::vector<int64_t>(50, 3))}};
+  for (unsigned Threads : {1u, 4u}) {
+    ExecLimits Limits;
+    Limits.MaxIterations = 1535;
+    ExecResult R =
+        recoverRun(P, In, engine::EngineMode::Interp, Threads, Limits);
+    ASSERT_TRUE(R.ok()) << Threads << " threads: " << R.TrapMessage;
+    EXPECT_EQ(R.Out.at(2).at(3).asInt(), 50 * (3 * 2 + 3));
+    Limits.MaxIterations = 1534;
+    R = recoverRun(P, In, engine::EngineMode::Interp, Threads, Limits);
+    EXPECT_EQ(R.Status, ExecStatus::BudgetExceeded) << Threads << " threads";
+    EXPECT_NE(R.TrapMessage.find("1535 iterations"), std::string::npos)
+        << R.TrapMessage;
+    const int64_t Bytes = 1485 * static_cast<int64_t>(sizeof(Value));
+    Limits = {};
+    Limits.MaxMemoryBytes = Bytes;
+    R = recoverRun(P, In, engine::EngineMode::Interp, Threads, Limits);
+    EXPECT_TRUE(R.ok()) << Threads << " threads: " << R.TrapMessage;
+    Limits.MaxMemoryBytes = Bytes - 1;
+    R = recoverRun(P, In, engine::EngineMode::Interp, Threads, Limits);
+    EXPECT_EQ(R.Status, ExecStatus::BudgetExceeded) << Threads << " threads";
+    EXPECT_NE(R.TrapMessage.find(std::to_string(Bytes) + " bytes used"),
+              std::string::npos)
+        << R.TrapMessage;
+  }
+}
+
+TEST(RecoverTest, SharedOperandTrapFiresOnce) {
+  // x * x reads one node twice, and x traps at i == 37 only: evaluated
+  // once, it raises one trap with the reference's message.
+  static std::atomic<int> Fired{0};
+  ProgramBuilder B;
+  Val Xs = B.inVecI64("xs");
+  Val XsV = Xs;
+  Program P = B.build(sumRange(Xs.len(), [&](Val I) {
+    Val X = XsV(vselect(I == Val(int64_t(37)), Val(int64_t(1000)), I));
+    return X * X;
+  }));
+  InputMap In = divTrapInputs(false);
+  const std::string Msg = "array read out of range: index 1000, size 64";
+  EXPECT_EQ(refTrap(P, In), Msg);
+  setFatalErrorHook([](const std::string &) { ++Fired; });
+  for (unsigned Threads : {1u, 4u}) {
+    Fired = 0;
+    ExecResult R = recoverRun(P, In, engine::EngineMode::Interp, Threads);
+    EXPECT_EQ(R.Status, ExecStatus::Trapped) << Threads << " threads";
+    EXPECT_EQ(R.TrapMessage, Msg) << Threads << " threads";
+    EXPECT_EQ(Fired.load(), 1) << Threads << " threads";
+  }
+  setFatalErrorHook(nullptr);
 }
 
 //===----------------------------------------------------------------------===//
