@@ -6,14 +6,20 @@
 ///
 /// \file
 /// Lowers a closed multiloop into the register bytecode of engine/Kernel.h.
-/// The compiler is deliberately partial: scalar expression bodies over
-/// loop-invariant arrays lower; everything else (loop-varying arrays or
-/// structs, non-invariant nested multiloops, Flatten in the body) returns a
-/// failure reason and the caller falls back to the reference interpreter,
-/// which is always semantically complete. The lowering preserves the
-/// interpreter's observable behaviour: lazy Select, eager And/Or,
-/// static-type-driven arithmetic over dynamic-kind registers, and the exact
-/// fatal-error messages for division by zero and out-of-range reads.
+/// Scalar expression bodies over loop-invariant arrays lower, and so do the
+/// nested patterns of the catalog apps: an open inner Reduce over scalars
+/// or a struct of scalars, an open inner Collect of scalars read by index,
+/// and element-wise vector reductions (lower::matchInPlaceAdd) into
+/// per-chunk accumulators. Each nested loop is placed where the interpreter
+/// evaluates it — once per iteration of its innermost binder, at first use,
+/// never above a condition or a Select arm. Anything else (struct-valued
+/// generators, bucket or multi-generator inner loops, Flatten in the body)
+/// returns a failure reason and the caller falls back to the reference
+/// interpreter, which is always semantically complete. The lowering
+/// preserves the interpreter's observable behaviour: lazy Select, eager
+/// And/Or, static-type-driven arithmetic over dynamic-kind registers, and
+/// the exact trap messages for division by zero, out-of-range reads and
+/// negative inner loop sizes.
 ///
 //===----------------------------------------------------------------------===//
 

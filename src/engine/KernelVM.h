@@ -98,15 +98,18 @@ struct LaunchContext {
   /// checkpoints inside span execution and the cancel token handed to
   /// parallel launches. Null = unlimited.
   RunControl *Control = nullptr;
+  /// True when the run has already computed closed loop \p Root, as
+  /// decided by evaluation order (UniformRef::Root). Null: never.
+  std::function<bool(const ExprRef &)> Computed;
 };
 
-/// Runs \p K over [0, N). Returns false (leaving \p Out untouched) when
-/// launch-time binding rejects the kernel; runtime faults (division by
-/// zero, out-of-range reads) throw TrapError with the interpreter's
-/// messages, unwinding cleanly out of worker chunks (runtime/ThreadPool.h
-/// trap containment).
-bool runKernel(const Kernel &K, int64_t N, const LaunchContext &Ctx,
-               Value &Out);
+/// Runs \p K over [0, N). Returns null on success, or the reason
+/// (leaving \p Out untouched) when launch-time binding rejects the kernel;
+/// runtime faults (division by zero, out-of-range reads, negative inner
+/// loop sizes) throw TrapError with the interpreter's messages, unwinding
+/// cleanly out of worker chunks (runtime/ThreadPool.h trap containment).
+const char *runKernel(const Kernel &K, int64_t N, const LaunchContext &Ctx,
+                      Value &Out);
 
 } // namespace engine
 } // namespace dmll

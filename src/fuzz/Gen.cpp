@@ -303,7 +303,7 @@ private:
                         constI64(-1000000)));
     default:
       if (AllowLoops && E.LoopDepth < O.MaxLoopDepth)
-        return genReduceLoop(E, Type::i64());
+        return chance(25) ? argminIndex(E) : genReduceLoop(E, Type::i64());
       return genI64(E, Depth - 1, AllowLoops);
     }
   }
@@ -415,16 +415,44 @@ private:
     return constI64(irange(2, O.MaxConstSize));
   }
 
+  /// `len(A) == 0 ? 0 : A(abs(Idx) % len(A))`: a read of i64 array \p A
+  /// that cannot trap.
+  ExprRef guardedRead(const ExprRef &A, const ExprRef &Idx) {
+    ExprRef Len = arrayLen(A);
+    return select(binop(BinOpKind::Eq, Len, constI64(0)), constI64(0),
+                  arrayRead(A, binop(BinOpKind::Mod,
+                                     unop(UnOpKind::Abs, Idx), Len)));
+  }
+
   /// A scalar Reduce loop of result type \p Ty (used inside expressions).
+  /// Inside a loop it sometimes runs over one CSR segment, as pagerank's
+  /// does: a loop-varying range sized by two reads of an i64 array at the
+  /// enclosing index and its successor, clamped to [0, 8], whose first
+  /// offset the body may use.
   ExprRef genReduceLoop(const Env &E, const TypeRef &Ty) {
-    ExprRef AlignedArr;
-    ExprRef Size = genSize(E, &AlignedArr);
+    ExprRef AlignedArr, SegBase;
+    ExprRef Size;
+    std::vector<ExprRef> Offs = arraysOf(E, Type::i64());
+    if (E.LoopDepth > 0 && !Offs.empty() && chance(30)) {
+      ExprRef Off = Offs[R.nextBelow(Offs.size())];
+      ExprRef At = E.I64s.back(); // the innermost loop index
+      SegBase = guardedRead(Off, At);
+      ExprRef End = guardedRead(Off, binop(BinOpKind::Add, At, constI64(1)));
+      Size = binop(BinOpKind::Min,
+                   binop(BinOpKind::Max, binop(BinOpKind::Sub, End, SegBase),
+                         constI64(0)),
+                   constI64(8));
+    } else {
+      Size = genSize(E, &AlignedArr);
+    }
     Generator G;
     G.Kind = GenKind::Reduce;
     SymRef I = freshSym("i", Type::i64());
     Env Body = E;
     ++Body.LoopDepth;
     Body.I64s.push_back(I);
+    if (SegBase)
+      Body.I64s.push_back(binop(BinOpKind::Add, SegBase, ExprRef(I)));
     Body.Aligned.clear();
     if (AlignedArr)
       Body.Aligned.emplace_back(AlignedArr, I);
@@ -443,6 +471,37 @@ private:
                                       : genI64(Body, 2, true));
     G.Reduce = genReduceFunc(Ty);
     return singleLoop(Size, std::move(G));
+  }
+
+  /// k-means's assignment step as a shape: an argmin Reduce over a struct
+  /// accumulator {v, i} (a loop-free float and the index), reduced with
+  /// `if(a.v <= b.v, a, b)`, read at its i field.
+  ExprRef argminIndex(const Env &E) {
+    ExprRef AlignedArr;
+    ExprRef Size = genSize(E, &AlignedArr);
+    SymRef I = freshSym("i", Type::i64());
+    Env Body = E;
+    ++Body.LoopDepth;
+    Body.I64s.push_back(I);
+    Body.Aligned.clear();
+    if (AlignedArr)
+      Body.Aligned.emplace_back(AlignedArr, I);
+    // Inside a loop the compared value depends on its index, as k-means's
+    // distances depend on the row.
+    ExprRef V = genF64(Body, 2, false);
+    if (E.LoopDepth > 0)
+      V = binop(BinOpKind::Sub, V, castTo(Type::f64(), E.I64s.back()));
+    Generator G;
+    G.Kind = GenKind::Reduce;
+    G.Value = Func({I}, makeStruct({{"v", Type::f64()}, {"i", Type::i64()}},
+                                   {clampF64(V), ExprRef(I)}));
+    G.Reduce = binFunc("m", G.Value.Body->type(),
+                       [](const ExprRef &A, const ExprRef &B) {
+                         return select(binop(BinOpKind::Le, getField(A, "v"),
+                                             getField(B, "v")),
+                                       A, B);
+                       });
+    return getField(singleLoop(Size, std::move(G)), "i");
   }
 
   /// Bounds a float reduce value to [-1e6, 1e6] (and squashes NaN, which

@@ -484,6 +484,13 @@ Verdict dmll::fuzz::runDifferential(const FuzzCase &C, double Tol,
   for (const ExecConfig &Cfg : Configs)
     Results.push_back(runSandboxed(C, Cfg, TimeoutSec));
 
+  for (size_t I = 0; I < Configs.size(); ++I)
+    if (Configs[I].E == ExecConfig::Engine::Kernel && !Configs[I].Optimize &&
+        Configs[I].Threads == 1) {
+      V.KernelFallbacks = Results[I].Fallbacks;
+      break;
+    }
+
   const RunResult &Base = Results[0];
   const std::string &BaseName = Configs[0].Name;
   if (Base.Status == RunStatus::Crash || Base.Status == RunStatus::Timeout) {

@@ -130,6 +130,10 @@ struct Divergence {
 struct Verdict {
   uint64_t Seed = 0;
   std::vector<Divergence> Divergences;
+  /// The "<loop>: <reason>" kernel compile fallbacks of the unoptimized
+  /// one-thread kernel configuration, when it ran clean (dmll-fuzz's
+  /// fallback census).
+  std::vector<std::string> KernelFallbacks;
   bool ok() const { return Divergences.empty(); }
   /// Multi-line human-readable report ("seed N: clean" when ok).
   std::string str() const;

@@ -198,6 +198,8 @@ private:
   /// Per-loop tuning decisions (tune/Decision.h); null when untuned.
   const tune::DecisionTable *Tuning = nullptr;
   ThreadPool *Pool = nullptr;
+  /// A chunk sub-evaluator of a parallel interpreter loop.
+  bool InChunk = false;
   /// Per-run limits enforcement (runtime/Cancel.h); null = unlimited.
   /// Shared by pointer with chunk sub-evaluators so every worker observes
   /// the same cancel token and charges the same budgets.
@@ -689,9 +691,25 @@ private:
     Ctx.Control = Control;
     Ctx.LoopCounters = Measure ? &Rec.Counters : nullptr;
     Ctx.SampleLoop = SampleName;
+    // A closed loop counts as computed only from the root evaluator, which
+    // runs the program's closed loops in evaluation order; inside a chunk,
+    // another worker may be computing it concurrently.
+    if (!InChunk)
+      Ctx.Computed = [this](const ExprRef &Root) {
+        ClosedResult *Slot;
+        {
+          std::lock_guard<std::mutex> Lock(Shared->M);
+          auto It = Shared->Closed.find(Root.get());
+          if (It == Shared->Closed.end())
+            return false;
+          Slot = &It->second;
+        }
+        std::lock_guard<std::mutex> Lock(Slot->M);
+        return Slot->Done;
+      };
     auto T0 = std::chrono::steady_clock::now();
-    if (!engine::runKernel(*K, Rec.Iters, Ctx, Out)) {
-      Rec.Fallback = "launch-time binding rejected the inputs";
+    if (const char *Why = engine::runKernel(*K, Rec.Iters, Ctx, Out)) {
+      Rec.Fallback = Why;
       return Fallback();
     }
     Rec.Engine = "kernel";
@@ -794,6 +812,7 @@ private:
             Sub.Reuse = Reuse;
             Sub.Tuning = Tuning;
             Sub.Control = Control;
+            Sub.InChunk = true;
             Scope Local;
             ChunkStates[static_cast<size_t>(C)] = Sub.initStates(ML, Local);
             Sub.runRange(ML, C * Per, std::min((C + 1) * Per, N),

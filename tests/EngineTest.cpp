@@ -22,6 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 using namespace dmll;
 using namespace dmll::frontend;
 
@@ -256,18 +259,127 @@ TEST_P(EngineSweep, DenseBuckets) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineSweep,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
+/// Bit-for-bit equality: the same kinds, shapes and float bit patterns
+/// (-0.0 is not 0.0 here, unlike deepEquals).
+bool sameBits(const Value &A, const Value &B) {
+  if (A.isArray() || B.isArray()) {
+    if (!A.isArray() || !B.isArray() || A.arraySize() != B.arraySize())
+      return false;
+    for (size_t I = 0; I < A.arraySize(); ++I)
+      if (!sameBits(A.at(I), B.at(I)))
+        return false;
+    return true;
+  }
+  if (A.isStruct() || B.isStruct()) {
+    if (!A.isStruct() || !B.isStruct())
+      return false;
+    const auto &FA = A.strct()->Fields, &FB = B.strct()->Fields;
+    if (FA.size() != FB.size())
+      return false;
+    for (size_t I = 0; I < FA.size(); ++I)
+      if (!sameBits(FA[I], FB[I]))
+        return false;
+    return true;
+  }
+  if (A.isFloat() && B.isFloat()) {
+    double X = A.asFloat(), Y = B.asFloat();
+    return std::memcmp(&X, &Y, sizeof X) == 0;
+  }
+  if (A.isInt() && B.isInt())
+    return A.asInt() == B.asInt();
+  return A.isBool() && B.isBool() && A.asBool() == B.asBool();
+}
+
+/// The six catalog apps at the daemon's settings (Auto, MinChunk 1024) and
+/// the benchmark's scales: every closed loop Auto hands to the engine runs
+/// as a kernel, nested patterns included, with the interpreter's bits.
+TEST(EngineApps, CatalogAppsRunOnKernelsAtDaemonSettings) {
+  for (const std::string &App : service::appNames()) {
+    bool Nested = App == "k-means" || App == "gda" || App == "logreg";
+    service::AppCase C;
+    ASSERT_TRUE(service::makeApp(App, Nested ? 50 : 10, C));
+    CompileResult CR = compileProgram(C.P, CompileOptions());
+    InputMap In = adaptInputs(C.P, CR, C.Inputs);
+    for (unsigned Threads : {1u, 4u}) {
+      SCOPED_TRACE(App + " at " + std::to_string(Threads) + " threads");
+      EvalOptions Opts;
+      Opts.Threads = Threads;
+      Opts.MinChunk = 1024;
+      Opts.Mode = engine::EngineMode::Interp;
+      Value Expected = testutil::evalOk(CR.P, In, Opts);
+      engine::KernelStats KS;
+      Opts.Mode = engine::EngineMode::Auto;
+      Opts.Kernels = &KS;
+      Value Actual = testutil::evalOk(CR.P, In, Opts);
+      EXPECT_TRUE(sameBits(Expected, Actual));
+      EXPECT_GE(KS.Compiled, 1);
+      EXPECT_EQ(KS.FallbackLoops, 0)
+          << (KS.Fallbacks.empty() ? "" : KS.Fallbacks[0]);
+      EXPECT_EQ(KS.FallbackRuns, 0);
+    }
+  }
+}
+
+/// Vector reductions, 1 and 2 levels and into dense buckets, whose element
+/// 1 is -0.0 in every value. The first value is copied, never added to
+/// zero (0.0 + -0.0 is +0.0), so the element keeps its sign in the
+/// interpreter and the kernel alike, across chunk merges too.
+TEST(EngineApps, VectorReduceKeepsNegativeZero) {
+  ProgramBuilder B;
+  Val Xs = B.inVecF64("xs");
+  Val XsV = Xs;
+  auto Elem = [&](Val I, Val K) {
+    return vselect(K == Val(int64_t(1)), Val(-0.0), XsV(I) * toF64(K));
+  };
+  auto Row = [&](Val I) {
+    Val IV = I;
+    return tabulate(Val(int64_t(3)), [&](Val K) { return Elem(IV, K); });
+  };
+  auto Add = [](Val A, Val C) {
+    return zipWith(A, C, [](Val X, Val Y) { return X + Y; });
+  };
+  Program One = B.build(sumRange(Xs.len(), Row));
+  Program Two = B.build(sumRange(Xs.len(), [&](Val I) {
+    Val IV = I;
+    return tabulate(Val(int64_t(2)), [&](Val) { return Row(IV); });
+  }));
+  Program Dense = B.build(bucketReduceDense(
+      Xs.len(), [](Val I) { return I % Val(int64_t(3)); }, Row, Add,
+      Val(int64_t(4))));
+  std::vector<double> Data(40);
+  for (size_t I = 0; I < Data.size(); ++I)
+    Data[I] = 0.25 * static_cast<double>(I);
+  InputMap In{{"xs", Value::arrayOfDoubles(Data)}};
+  for (const Program *P : {&One, &Two, &Dense})
+    for (unsigned Threads : {1u, 3u}) {
+      Value Expected = runMode(*P, In, engine::EngineMode::Interp, Threads);
+      engine::KernelStats KS;
+      Value Actual =
+          runMode(*P, In, engine::EngineMode::Kernel, Threads, &KS);
+      EXPECT_EQ(KS.FallbackLoops, 0);
+      EXPECT_TRUE(sameBits(Expected, Actual))
+          << Expected.str() << "\nvs " << Actual.str();
+      const Value &First = P == &One ? Actual : Actual.at(0);
+      EXPECT_TRUE(std::signbit(First.at(1).asFloat())) << Actual.str();
+    }
+}
+
 //===----------------------------------------------------------------------===//
 // Fallback, edge cases, and the stats surface.
 //===----------------------------------------------------------------------===//
 
 TEST(EngineFallback, LoopVaryingInnerLoopFallsBack) {
-  // The generator value is a loop-varying array — not lowerable to scalar
-  // bytecode. The engine must record the fallback and defer to the
-  // interpreter with identical results.
+  // The inner sum runs over a loop-varying Flatten, which has no bytecode
+  // form (an inner Reduce or Collect alone would lower). The engine must
+  // record the fallback and defer to the interpreter with identical
+  // results.
   ProgramBuilder B;
   Val N = B.inI64("n");
   Program P = B.build(tabulate(N, [](Val I) {
-    return sum(tabulate(I + Val(int64_t(1)), [](Val J) { return J * J; }));
+    return sum(flatMap(tabulate(I + Val(int64_t(1)), [](Val J) { return J; }),
+                       [](Val J) {
+                         return tabulate(J, [](Val K) { return K * K; });
+                       }));
   }));
   InputMap In{{"n", Value(int64_t(40))}};
   Value Expected = runMode(P, In, engine::EngineMode::Interp, 1);
@@ -365,6 +477,29 @@ TEST(EngineEdgeTrapTest, DenseKeyOutOfRangeTrapsLikeInterp) {
       << R.TrapMessage;
 }
 
+TEST(EngineEdgeTrapTest, BucketValueTrapsBeforeItsKey) {
+  // At i == 3 both the key (10 / 0) and the value (xs(3) of 3) trap. The
+  // interpreter evaluates a bucket generator's value before its key, so
+  // the out-of-range read is the trap both engines raise.
+  ProgramBuilder B;
+  Val Xs = B.inVecI64("xs");
+  Val XsV = Xs;
+  Program P = B.build(bucketReduceHash(
+      Val(int64_t(8)),
+      [](Val I) { return Val(int64_t(10)) / (I - Val(int64_t(3))); },
+      [&](Val I) { return XsV(I); }, [](Val A, Val C) { return A + C; }));
+  InputMap In{{"xs", Value::arrayOfInts({1, 2, 3})}};
+  for (engine::EngineMode Mode :
+       {engine::EngineMode::Interp, engine::EngineMode::Kernel}) {
+    EvalOptions Opts;
+    Opts.Mode = Mode;
+    ExecResult R = evalProgramRecover(P, In, Opts);
+    EXPECT_EQ(R.Status, ExecStatus::Trapped);
+    EXPECT_EQ(R.TrapMessage, "array read out of range: index 3, size 3")
+        << engine::engineModeName(Mode);
+  }
+}
+
 TEST(EngineStats, CompileOnceLaunchMany) {
   ProgramBuilder B;
   Val Xs = B.inVecF64("xs");
@@ -444,16 +579,18 @@ TEST(EngineChunking, ClosedGatherLoopRunsBeforeTheChunks) {
   Opts.Profile = &Prof;
   Value Out = testutil::evalOk(CR.P, In, Opts);
   EXPECT_TRUE(Out.deepEquals(evalProgram(CR.P, In), 0.0));
-  // The interpreter loop has the same signature and length; the gather is
-  // the one the kernel engine runs.
-  int Gathers = 0;
+  // The rank loop has the same signature and length and runs on the kernel
+  // engine too; the gather (work 3 per iteration) is the one split into 7
+  // chunks, and it ran with the whole pool.
+  int Kernels = 0, Gathers = 0;
   for (const LoopProfile &L : Prof.Loops)
     if (L.Loop == "Multiloop[Collect]" && L.Engine == "kernel") {
       EXPECT_EQ(L.Iters, 2048);
-      ++Gathers;
       EXPECT_EQ(L.Threads, 4u);
-      EXPECT_EQ(L.Chunks, 7);
+      ++Kernels;
+      Gathers += L.Chunks == 7;
     }
+  EXPECT_EQ(Kernels, 2);
   EXPECT_EQ(Gathers, 1);
 }
 

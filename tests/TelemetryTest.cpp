@@ -431,13 +431,16 @@ TEST(EventLogTest, ClosedLoopInsideAChunkedLoopRunsAndReportsOnce) {
 }
 
 TEST(EventLogTest, WarmFallbackLoopEndCarriesTheReason) {
-  // The outer loop's value is a loop-varying inner loop, which the kernel
+  // The outer loop's value sums a loop-varying Flatten, which the kernel
   // compiler rejects. The second run adopts that outcome from the cross-run
   // cache without compiling, and its loop.end still says why.
   ProgramBuilder B;
   Val N = B.inI64("n");
   Program P = B.build(tabulate(N, [](Val I) {
-    return sum(tabulate(I + Val(int64_t(1)), [](Val J) { return J * J; }));
+    return sum(flatMap(tabulate(I + Val(int64_t(1)), [](Val J) { return J; }),
+                       [](Val J) {
+                         return tabulate(J, [](Val K) { return K * K; });
+                       }));
   }));
   InputMap In{{"n", Value(int64_t(40))}};
   std::string Path = tmpPath("warmfallback");

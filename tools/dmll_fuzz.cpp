@@ -17,6 +17,9 @@
 //                  survival, post-fault bit-identity, and monotonic metrics
 //   --schedules K  fault schedules per seed in --chaos mode (default 4)
 //
+// A differential run ends with a census of the kernel compile fallbacks of
+// the unoptimized one-thread kernel configuration, counted by reason.
+//
 // Exit status: 0 = every seed clean, 1 = at least one divergence or chaos
 // problem, 2 = usage error.
 //
@@ -27,10 +30,12 @@
 #include "fuzz/Oracle.h"
 #include "fuzz/Reduce.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 
 using namespace dmll;
@@ -106,10 +111,16 @@ int main(int argc, char **argv) {
     return ChaosFailures ? 1 : 0;
   }
 
-  uint64_t Failures = 0;
+  uint64_t Failures = 0, WithFallback = 0;
+  std::map<std::string, uint64_t> Census; // reason -> loops
   for (uint64_t S = Seed; S < Seed + Count; ++S) {
     fuzz::FuzzCase C = fuzz::generateCase(S);
     fuzz::Verdict V = fuzz::runDifferential(C);
+    WithFallback += !V.KernelFallbacks.empty();
+    for (const std::string &F : V.KernelFallbacks) {
+      size_t Sep = F.find(": ");
+      ++Census[Sep == std::string::npos ? F : F.substr(Sep + 2)];
+    }
     if (V.ok())
       continue;
     ++Failures;
@@ -140,6 +151,18 @@ int main(int argc, char **argv) {
     }
   }
 
+  std::vector<std::pair<uint64_t, std::string>> ByCount;
+  for (const auto &[Reason, N] : Census)
+    ByCount.emplace_back(N, Reason);
+  std::stable_sort(ByCount.begin(), ByCount.end(),
+                   [](const auto &A, const auto &B) { return A.first > B.first; });
+  std::printf("kernel fallback census (unoptimized, 1 thread): %llu/%llu "
+              "program(s) with a fallback loop\n",
+              static_cast<unsigned long long>(WithFallback),
+              static_cast<unsigned long long>(Count));
+  for (const auto &[N, Reason] : ByCount)
+    std::printf("  %6llu  %s\n", static_cast<unsigned long long>(N),
+                Reason.c_str());
   std::printf("dmll-fuzz: %llu/%llu seed(s) clean\n",
               static_cast<unsigned long long>(Count - Failures),
               static_cast<unsigned long long>(Count));
