@@ -20,14 +20,16 @@ using namespace dmll::engine;
 using lower::ScalarKind;
 
 const ColBuf *ColumnCache::get(const ArrayPtr &Arr, ScalarKind Kind) {
-  std::vector<std::unique_ptr<ColBuf>> &Slot = Cache[Arr.get()];
-  for (const std::unique_ptr<ColBuf> &B : Slot)
-    if (B->Kind == Kind)
-      return B.get();
+  std::lock_guard<std::mutex> Lock(Mu);
+  std::vector<Entry> &Slot = Map[Arr.get()];
+  for (const Entry &E : Slot)
+    if (E.Kind == Kind && E.Col)
+      return E.Col;
 
-  // Fresh flatten: charge the flat buffer against the run's memory budget
-  // before allocating (a huge column becomes BudgetExceeded, not OOM), and
-  // give the injector's allocation-failure hook its opportunity.
+  // The column's first read in this run: charge the flat buffer against
+  // the run's memory budget before allocating (a huge column becomes
+  // BudgetExceeded, not OOM), and give the injector's allocation-failure
+  // hook its opportunity — even when the store already holds the column.
   if (Control) {
     int64_t Elem = Kind == ScalarKind::I1 ? 1 : 8;
     Control->chargeMemory(static_cast<int64_t>(Arr->size()) * Elem);
@@ -35,16 +37,42 @@ const ColBuf *ColumnCache::get(const ArrayPtr &Arr, ScalarKind Kind) {
   }
   if (faults::shouldFire(faults::Hook::Alloc))
     trap("injected allocation failure");
+  if (!Store || !Store->Owned.contains(Arr.get()))
+    return fill(Arr, Kind);
+  const ColBuf *Col;
+  {
+    std::lock_guard<std::mutex> StoreLock(Store->Mu);
+    Col = Store->fill(Arr, Kind);
+  }
+  if (Col)
+    Slot.push_back({Kind, Col, nullptr});
+  return Col;
+}
+
+const ColBuf *ColumnCache::fill(const ArrayPtr &Arr, ScalarKind Kind) {
+  std::vector<Entry> &Slot = Map[Arr.get()];
+  for (const Entry &E : Slot)
+    if (E.Kind == Kind)
+      return E.Col;
   auto Buf = std::make_unique<ColBuf>();
   Buf->Kind = Kind;
   Buf->Keepalive = Arr;
   Buf->Size = Arr->size();
+  // A rejection is remembered too, so a rejected array is read once; its
+  // entry still pins the array, whose address keys the map.
+  auto Reject = [&]() -> const ColBuf * {
+    Buf->I = {};
+    Buf->F = {};
+    Buf->B = {};
+    Slot.push_back({Kind, nullptr, std::move(Buf)});
+    return nullptr;
+  };
   switch (Kind) {
   case ScalarKind::I64:
     Buf->I.reserve(Arr->size());
     for (const Value &V : *Arr) {
       if (!V.isInt())
-        return nullptr;
+        return Reject();
       Buf->I.push_back(V.asInt());
     }
     break;
@@ -52,7 +80,7 @@ const ColBuf *ColumnCache::get(const ArrayPtr &Arr, ScalarKind Kind) {
     Buf->F.reserve(Arr->size());
     for (const Value &V : *Arr) {
       if (!V.isFloat())
-        return nullptr;
+        return Reject();
       Buf->F.push_back(V.asFloat());
     }
     break;
@@ -60,15 +88,16 @@ const ColBuf *ColumnCache::get(const ArrayPtr &Arr, ScalarKind Kind) {
     Buf->B.reserve(Arr->size());
     for (const Value &V : *Arr) {
       if (!V.isBool())
-        return nullptr;
+        return Reject();
       Buf->B.push_back(V.asBool() ? 1 : 0);
     }
     break;
   case ScalarKind::NotScalar:
-    return nullptr;
+    return Reject();
   }
-  Slot.push_back(std::move(Buf));
-  return Slot.back().get();
+  const ColBuf *Col = Buf.get();
+  Slot.push_back({Kind, Col, std::move(Buf)});
+  return Col;
 }
 
 namespace {
@@ -127,8 +156,8 @@ void tick(Regs &R) {
     flushWork(R);
 }
 
-/// Counts one collected element's memory (a Value, as the interpreter's
-/// boxed Collect), charged at the next checkpoint.
+/// Counts one element's memory (a Value, as the interpreter charges each
+/// collected or bucketed element), charged at the next checkpoint.
 void chargeElem(Regs &R) { R.Mem += static_cast<int64_t>(sizeof(Value)); }
 
 /// Unboxed per-chunk accumulation state for one generator; the typed
@@ -168,8 +197,22 @@ struct ChunkGen {
   std::vector<Local> DVec;
 };
 
+/// Charges one dense bucket table, NumKeys Values, before it is allocated,
+/// as the interpreter's initStates does for each state it builds.
+void chargeTable(int64_t NumKeys, RunControl *Control) {
+  if (Control) {
+    Control->chargeMemory(NumKeys * static_cast<int64_t>(sizeof(Value)));
+    Control->checkpoint();
+  }
+}
+
+/// Sizes a chunk's accumulation state; \p Control, when set, is charged
+/// for its dense tables first.
 void initChunk(const Kernel &K, const std::vector<int64_t> &NumKeys,
-               std::vector<ChunkGen> &Gens) {
+               std::vector<ChunkGen> &Gens, RunControl *Control) {
+  for (size_t G = 0; G < K.Gens.size(); ++G)
+    if (K.Gens[G].Dense)
+      chargeTable(NumKeys[G], Control);
   Gens.clear();
   Gens.resize(K.Gens.size());
   for (size_t G = 0; G < K.Gens.size(); ++G) {
@@ -504,12 +547,14 @@ void execRange(const Kernel &K, int32_t Begin, int32_t End, Regs &R,
         G.CB.push_back(R.B[In.A]);
         break;
       }
+      chargeElem(R);
       break;
     }
     case ROp::EmitBucket: {
       const GenPlan &P = K.Gens[In.Dst];
       ChunkGen &G = Gens[In.Dst];
       int64_t Key = R.I[P.KeyReg];
+      chargeElem(R);
       if (P.Dense) {
         size_t Slot = denseSlot(Key, NumKeys[In.Dst]);
         switch (P.ValKind) {
@@ -610,6 +655,7 @@ void execRange(const Kernel &K, int32_t Begin, int32_t End, Regs &R,
       const GenPlan &P = K.Gens[In.Dst];
       ChunkGen &G = Gens[In.Dst];
       int64_t Key = R.I[P.KeyReg];
+      chargeElem(R);
       size_t Slot;
       bool First;
       if (P.Dense) {
@@ -785,6 +831,7 @@ void execRange(const Kernel &K, int32_t Begin, int32_t End, Regs &R,
       const GenPlan &P = K.Gens[In.Dst];
       ChunkGen &G = Gens[In.Dst];
       size_t Slot = denseSlot(R.I[P.KeyReg], NumKeys[In.Dst]);
+      chargeElem(R);
       foldVec(P, G.DVec[Slot], !G.DHas[Slot], R.L[In.A], R);
       G.DHas[Slot] = 1;
       break;
@@ -850,7 +897,7 @@ struct WideRegs {
 /// later generator's section.
 bool execWideBlock(const Kernel &K, int64_t Base,
                    const std::vector<const ColBuf *> &Cols, WideRegs &W,
-                   std::vector<ChunkGen> &Gens,
+                   Regs &R, std::vector<ChunkGen> &Gens,
                    std::vector<std::vector<int64_t>> &EmitI,
                    std::vector<std::vector<double>> &EmitF,
                    std::vector<std::vector<uint8_t>> &EmitB) {
@@ -1147,6 +1194,7 @@ bool execWideBlock(const Kernel &K, int64_t Base,
       G.CB.insert(G.CB.end(), EmitB[NextEmit].begin(), EmitB[NextEmit].end());
       break;
     }
+    R.Mem += WideW * static_cast<int64_t>(sizeof(Value));
     ++NextEmit;
   }
   return true;
@@ -1520,9 +1568,6 @@ const char *engine::runKernel(const Kernel &K, int64_t N,
 
   Regs Snapshot(K);
   Snapshot.Control = Ctx.Control;
-  ColumnCache LocalCache;
-  ColumnCache &Cache = Ctx.Columns ? *Ctx.Columns : LocalCache;
-  Cache.setControl(Ctx.Control);
   std::vector<const ColBuf *> Cols;
   if (N > 0) {
     // Bind uniforms and columns. A source projected from a closed loop the
@@ -1562,7 +1607,7 @@ const char *engine::runKernel(const Kernel &K, int64_t N,
     Cols.reserve(K.Columns.size());
     for (const ColumnRef &C : K.Columns) {
       Value V = Ctx.EvalInvariant(C.E);
-      const ColBuf *Buf = Cache.get(V.array(), C.Kind);
+      const ColBuf *Buf = Ctx.Columns->get(V.array(), C.Kind);
       if (!Buf)
         return KindMismatch;
       Cols.push_back(Buf);
@@ -1594,7 +1639,7 @@ const char *engine::runKernel(const Kernel &K, int64_t N,
       std::vector<std::vector<uint8_t>> EB;
       int64_t Blocks = 0;
       for (; I + WideW <= End; I += WideW) {
-        if (execWideBlock(K, I, Cols, WR, Gens, EI, EF, EB)) {
+        if (execWideBlock(K, I, Cols, WR, R, Gens, EI, EF, EB)) {
           ++Blocks;
           continue;
         }
@@ -1634,10 +1679,17 @@ const char *engine::runKernel(const Kernel &K, int64_t N,
         trap("injected trap");
       if (Ctx.Control) {
         Ctx.Control->chargeIterations(SE - SB);
+        Ctx.Control->chargeMemory(R.Mem);
         Ctx.Control->checkpoint();
       }
+      R.Mem = 0;
       ExecSpanRaw(SB, SE, R, Gens);
     }
+    if (Ctx.Control && R.Mem) {
+      Ctx.Control->chargeMemory(R.Mem);
+      Ctx.Control->checkpoint();
+    }
+    R.Mem = 0;
   };
   if (Ctx.Chunks > 1) {
     // The interpreter's exact chunk boundaries, so float reassociation is
@@ -1646,6 +1698,10 @@ const char *engine::runKernel(const Kernel &K, int64_t N,
     int64_t Per = (N + NumChunks - 1) / NumChunks;
     std::vector<std::vector<ChunkGen>> ChunkStates(
         static_cast<size_t>(NumChunks));
+    // The interpreter builds the loop's own state before its chunks' too.
+    for (size_t G = 0; G < K.Gens.size(); ++G)
+      if (K.Gens[G].Dense)
+        chargeTable(NumKeys[G], Ctx.Control);
     ParallelForStats PStats;
     Ctx.Pool->parallelFor(
         NumChunks, 1,
@@ -1654,7 +1710,7 @@ const char *engine::runKernel(const Kernel &K, int64_t N,
           for (int64_t C = CB; C < CE; ++C) {
             Regs R = Snapshot;
             std::vector<ChunkGen> &Gens = ChunkStates[static_cast<size_t>(C)];
-            initChunk(K, NumKeys, Gens);
+            initChunk(K, NumKeys, Gens, Ctx.Control);
             int64_t End = std::min((C + 1) * Per, N);
             ExecSpan(C * Per, End, R, Gens);
           }
@@ -1679,7 +1735,7 @@ const char *engine::runKernel(const Kernel &K, int64_t N,
     if (Ctx.Profile)
       ++Ctx.Profile->SequentialLoops;
     Regs R = Snapshot;
-    initChunk(K, NumKeys, Final);
+    initChunk(K, NumKeys, Final, Ctx.Control);
     ExecSpan(0, N, R, Final);
   }
   if (Ctx.Profile)

@@ -27,7 +27,9 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace dmll {
@@ -49,24 +51,48 @@ struct ColBuf {
   size_t Size = 0;
 };
 
-/// Flattened-column cache for one program evaluation, keyed by the
-/// underlying ArrayData identity: an input array read by several kernels is
-/// flattened once. Not thread-safe; binding happens on the launching thread.
+/// Flat columns keyed by the source ArrayData's identity, so an array read
+/// by several kernels is flattened once. One type serves two lifetimes:
+///  * a store, held by a bound input set (interp/Interp.h CompiledProgram),
+///    keeps the columns of the arrays those inputs own across runs;
+///  * a run's cache charges each column's first read in the run and keeps
+///    the columns of the arrays the run computed, freed with the run; it
+///    takes input-owned columns from its store.
+/// Thread-safe: chunk workers of one run share its cache, and concurrent
+/// runs share a store. A column is published only once complete.
 class ColumnCache {
 public:
-  /// Returns the flat buffer for \p Arr, flattening on first use. Returns
-  /// nullptr when some element's runtime kind contradicts \p Kind (the
-  /// kernel then falls back to the interpreter). A fresh flatten charges
-  /// the run's memory budget and is an allocation-failure fault-injection
-  /// point (both may throw TrapError).
+  /// A store for the columns of the arrays in \p Owned.
+  explicit ColumnCache(std::unordered_set<const ArrayData *> Owned)
+      : Owned(std::move(Owned)) {}
+
+  /// A run's cache over \p Store (may be null), charging \p Control (may
+  /// be null).
+  ColumnCache(ColumnCache *Store, RunControl *Control)
+      : Store(Store), Control(Control) {}
+
+  /// A run's cache: returns the flat buffer for \p Arr, or nullptr when
+  /// some element's runtime kind contradicts \p Kind (the kernel then
+  /// falls back to the interpreter). The first read of a column in a run
+  /// charges the run's memory budget and is an allocation-failure
+  /// fault-injection point (both may throw TrapError), whether the store
+  /// already holds the column or not, so a warm run charges exactly as a
+  /// cold one.
   const ColBuf *get(const ArrayPtr &Arr, lower::ScalarKind Kind);
 
-  /// Installs the run's limits enforcement; null disables charging.
-  void setControl(RunControl *C) { Control = C; }
-
 private:
-  std::unordered_map<const ArrayData *, std::vector<std::unique_ptr<ColBuf>>>
-      Cache;
+  struct Entry {
+    lower::ScalarKind Kind;
+    const ColBuf *Col; ///< null: the flatten was rejected
+    std::unique_ptr<ColBuf> Own; ///< null when Col lives in the store
+  };
+  /// \p Arr's column in \p Kind, flattened on first use; Mu must be held.
+  const ColBuf *fill(const ArrayPtr &Arr, lower::ScalarKind Kind);
+
+  std::mutex Mu;
+  std::unordered_map<const ArrayData *, std::vector<Entry>> Map;
+  const std::unordered_set<const ArrayData *> Owned; ///< a store's arrays
+  ColumnCache *Store = nullptr;
   RunControl *Control = nullptr;
 };
 
@@ -85,7 +111,7 @@ struct LaunchContext {
   /// exists for ablation and differential testing.
   bool EnableWide = true;
   ExecProfile *Profile = nullptr;
-  ColumnCache *Columns = nullptr; ///< optional shared cache
+  ColumnCache *Columns = nullptr; ///< the run's column cache (required)
   /// Out: chunk-body counter deltas from non-driver workers (worker 0 runs
   /// on the launching thread, so its chunks are already inside the caller's
   /// own ThreadCounters bracket — adding them here would double-count).

@@ -643,20 +643,23 @@ ChaosReport dmll::fuzz::runChaos(const FuzzCase &C, int Schedules,
                                  uint64_t SeedBase) {
   ChaosReport Rep;
   Rep.Seed = C.Seed;
-  // One persistent pool for the whole chaos run: reusing it across faulted
-  // executions is exactly the state-cleanliness claim under test.
+  // One persistent pool and one handle for the whole chaos run: reusing
+  // them across faulted executions is exactly the state-cleanliness claim
+  // under test.
   ThreadPool Pool(4);
+  CompiledProgram H = CompiledProgram(C.P).bind(C.Inputs);
   auto runOnce = [&](const ExecLimits &Limits) {
     EvalOptions EO;
     EO.Threads = 4;
     EO.MinChunk = 4;
     // Auto splits loops between the interpreter and the kernel VM, so a
-    // fault unwinding mid-run also has to leave the kernel/column caches
-    // coherent for the re-run to bit-match.
+    // fault unwinding mid-run — in a column build or a kernel compile
+    // included — also has to leave the handle's kernel cache and column
+    // store coherent for the next run to bit-match.
     EO.Mode = engine::EngineMode::Auto;
     EO.Pool = &Pool;
     EO.Limits = Limits;
-    return evalProgramRecover(C.P, C.Inputs, EO);
+    return run(H, EO);
   };
   auto describe = [](const ExecResult &R) {
     std::string S = execStatusName(R.Status);
@@ -708,12 +711,12 @@ ChaosReport dmll::fuzz::runChaos(const FuzzCase &C, int Schedules,
       } catch (const TrapError &E) {
         Escaped = true;
         Rep.Problems.push_back("schedule " + std::to_string(S) +
-                               ": TrapError escaped evalProgramRecover: " +
+                               ": TrapError escaped run(): " +
                                E.message());
       } catch (const std::exception &E) {
         Escaped = true;
         Rep.Problems.push_back("schedule " + std::to_string(S) +
-                               ": exception escaped evalProgramRecover: " +
+                               ": exception escaped run(): " +
                                E.what());
       }
       Fired = faults::firedCount(faults::Hook::Alloc) +

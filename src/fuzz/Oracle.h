@@ -164,15 +164,17 @@ struct ChaosReport {
 
 /// The chaos oracle: drives \p C *in-process* (no fork — surviving is the
 /// point) through \p Schedules deterministic fault schedules derived from
-/// \p SeedBase on one persistent 4-worker ThreadPool. Each schedule arms a
-/// FaultPlan (faultinject/FaultInject.h) — injected allocation failures,
-/// synthetic traps, worker delays, chunk-boundary stalls — sometimes
-/// stacked with tight deadlines / iteration budgets, and runs through
-/// evalProgramRecover. Invariants checked per schedule:
+/// \p SeedBase on one persistent 4-worker ThreadPool and one
+/// CompiledProgram handle (interp/Interp.h), which the reference, every
+/// faulted schedule and every re-run share. Each schedule arms a FaultPlan
+/// (faultinject/FaultInject.h) — injected allocation failures, synthetic
+/// traps, worker delays, chunk-boundary stalls — sometimes stacked with
+/// tight deadlines / iteration budgets, and runs through run(). Invariants
+/// checked per schedule:
 ///  * no TrapError (or any exception) escapes the recover boundary;
-///  * a fault-free re-run on the *same* pool reproduces the fault-free
-///    reference bit-for-bit (Tol = 0) — no poisoned pool, kernel cache,
-///    or column state survives the unwind;
+///  * a fault-free re-run on the *same* pool and handle reproduces the
+///    fault-free reference bit-for-bit (Tol = 0) — no poisoned pool,
+///    kernel cache, or column store survives the unwind;
 ///  * every MetricsRegistry counter stays monotonic across the fault.
 ChaosReport runChaos(const FuzzCase &C, int Schedules, uint64_t SeedBase);
 

@@ -12,14 +12,17 @@
 #include "observe/MetricsRegistry.h"
 #include "observe/Sampler.h"
 #include "observe/Trace.h"
+#include "runtime/Executor.h"
 #include "runtime/ThreadPool.h"
 #include "sim/Calibration.h"
 #include "support/Error.h"
+#include "support/Once.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -140,46 +143,121 @@ ArrayData *ownedArray(const Value &V) {
   return A.use_count() == 1 ? A.get() : nullptr;
 }
 
+/// Adds the arrays \p V owns to \p Out: itself when an array, and its
+/// fields and elements when they are arrays or structs, recursively.
+void collectArrays(const Value &V, std::unordered_set<const ArrayData *> &Out) {
+  if (V.isStruct()) {
+    for (const Value &F : V.strct()->Fields)
+      collectArrays(F, Out);
+    return;
+  }
+  if (!V.isArray() || !Out.insert(V.array().get()).second)
+    return;
+  // One array's elements share a type, so a scalar first element means a
+  // flat array, whose elements own nothing.
+  const ArrayData &A = *V.array();
+  if (!A.empty() && (A[0].isArray() || A[0].isStruct()))
+    for (const Value &E : A)
+      collectArrays(E, Out);
+}
+
+std::unordered_set<const ArrayData *> arraysOf(const InputMap &Inputs) {
+  std::unordered_set<const ArrayData *> Out;
+  for (const auto &[Name, V] : Inputs)
+    collectArrays(V, Out);
+  return Out;
+}
+
+} // namespace
+
+/// The per-program layer of a CompiledProgram.
+struct CompiledProgram::ProgramState {
+  /// Set when the handle compiled its program: the result, and the source
+  /// program the inputs it binds are adapted from.
+  std::unique_ptr<CompileResult> CR;
+  Program Source;
+  const Program *P = nullptr; ///< the program runs execute
+  std::string Key;
+  std::optional<tune::DecisionTable> Tuning;
+  KernelReuseCache OwnKernels;
+  KernelReuseCache *Kernels = &OwnKernels;
+  /// One latch per bind(Key, Make) key; BindMu guards the map only.
+  std::mutex BindMu;
+  std::map<int64_t, std::unique_ptr<Once<std::shared_ptr<const InputState>>>>
+      Binds;
+};
+
+/// One bound input set: the inputs, the read-only tables every run over
+/// them reads, and the store of the columns they own.
+struct CompiledProgram::InputState {
+  /// Binds \p Own, or the caller's \p Borrowed map when set, to \p P.
+  /// \p ForRuns also builds what only run() reads: the work table and the
+  /// column store's arrays.
+  InputState(const Program &P, InputMap Own, const InputMap *Borrowed,
+             bool ForRuns)
+      : Own(std::move(Own)), Inputs(Borrowed ? Borrowed : &this->Own),
+        Columns(ForRuns ? arraysOf(*Inputs)
+                        : std::unordered_set<const ArrayData *>()) {
+    visitAll(P.Result, [&](const ExprRef &N) {
+      if (const auto *In = dyn_cast<InputExpr>(N)) {
+        auto It = Inputs->find(In->name());
+        InputSlots.emplace(N.get(),
+                           It == Inputs->end() ? nullptr : &It->second);
+      } else if (const auto *ML = dyn_cast<MultiloopExpr>(N)) {
+        std::vector<GenFacts> &F = Facts[ML];
+        for (const Generator &Gen : ML->gens())
+          F.push_back(factsOf(Gen));
+      }
+    });
+    // FlopsPerIter does not depend on partitioning, so an empty
+    // PartitionInfo gives the same work as the compiler's.
+    if (ForRuns)
+      for (const LoopCost &C :
+           analyzeCosts(P, PartitionInfo(), sizeEnvFromInputs(P, *Inputs)))
+        Work.emplace(C.Loop, C.FlopsPerIter);
+  }
+
+  InputMap Own;
+  const InputMap *Inputs;
+  /// The binding of each input read (null when unbound) and the
+  /// per-generator fast-path facts of each multiloop reachable from the
+  /// program's result. Nodes missing from them (built after the run began)
+  /// take the general paths.
+  std::unordered_map<const Expr *, const Value *> InputSlots;
+  std::unordered_map<const Expr *, std::vector<GenFacts>> Facts;
+  /// Static work per iteration of each closed multiloop (analysis/Cost.h
+  /// FlopsPerIter), the chunk rule's input.
+  std::unordered_map<const Expr *, double> Work;
+  /// The flat columns of the arrays the inputs own; fills under its lock.
+  mutable engine::ColumnCache Columns;
+};
+
+namespace {
+
+using InputState = CompiledProgram::InputState;
+
 class Evaluator {
 public:
-  explicit Evaluator(const InputMap &Inputs) : Inputs(Inputs) {}
+  /// The reference evaluator over \p Bound (evalProgram).
+  explicit Evaluator(const InputState &Bound) : Bound(Bound) {}
 
-  /// Full-option evaluator of \p P. \p Pool (required when Threads > 1) is
-  /// the persistent worker pool shared by every loop of the evaluation;
-  /// \p Control (may be null) enforces the run's ExecLimits at evaluator
-  /// checkpoints.
-  Evaluator(const Program &P, const InputMap &Inputs, const EvalOptions &Opts,
+  /// Full-option evaluator over \p Bound, with the tuning table \p Tuning
+  /// and the cross-run kernel cache \p Reuse (both may be null). \p Pool
+  /// (required when Threads > 1) is the persistent worker pool shared by
+  /// every loop of the evaluation; \p Control (may be null) enforces the
+  /// run's ExecLimits at evaluator checkpoints.
+  Evaluator(const InputState &Bound, const EvalOptions &Opts,
+            const tune::DecisionTable *Tuning, KernelReuseCache *Reuse,
             ThreadPool *Pool, RunControl *Control)
-      : Inputs(Inputs), Threads(Opts.Threads ? Opts.Threads : 1),
+      : Bound(Bound), Threads(Opts.Threads ? Opts.Threads : 1),
         MinChunk(Opts.MinChunk > 0 ? Opts.MinChunk : 1024),
         Profile(Opts.Profile), Mode(Opts.Mode),
         WideKernels(Opts.WideKernels), KStats(Opts.Kernels),
-        Tuning(Opts.Tuning && !Opts.Tuning->empty() ? Opts.Tuning : nullptr),
-        Pool(Pool), Control(Control), Reuse(Opts.KernelReuse) {
+        Tuning(Tuning && !Tuning->empty() ? Tuning : nullptr), Pool(Pool),
+        Control(Control), Reuse(Reuse) {
     if (Profile)
       OwnShared.Loops = &Profile->Loops;
-    // FlopsPerIter does not depend on partitioning, so an empty
-    // PartitionInfo gives the same work as the compiler's.
-    for (const LoopCost &C :
-         analyzeCosts(P, PartitionInfo(), sizeEnvFromInputs(P, Inputs)))
-      OwnShared.Work.emplace(C.Loop, C.FlopsPerIter);
-    prepare(P.Result);
-  }
-
-  /// Builds the run's read-only tables for the nodes reachable from \p
-  /// Root: each input read's binding and each multiloop's GenFacts.
-  void prepare(const ExprRef &Root) {
-    visitAll(Root, [&](const ExprRef &N) {
-      if (const auto *In = dyn_cast<InputExpr>(N)) {
-        auto It = Inputs.find(In->name());
-        OwnShared.InputSlots.emplace(
-            N.get(), It == Inputs.end() ? nullptr : &It->second);
-      } else if (const auto *ML = dyn_cast<MultiloopExpr>(N)) {
-        std::vector<GenFacts> &Facts = OwnShared.Facts[ML];
-        for (const Generator &Gen : ML->gens())
-          Facts.push_back(factsOf(Gen));
-      }
-    });
+    OwnShared.Columns.emplace(&Bound.Columns, Control);
   }
 
   Value evalTop(const ExprRef &E) {
@@ -188,7 +266,8 @@ public:
   }
 
 private:
-  const InputMap &Inputs;
+  /// The inputs and the tables built with them.
+  const InputState &Bound;
   unsigned Threads = 1;
   int64_t MinChunk = 1024;
   ExecProfile *Profile = nullptr;
@@ -209,36 +288,25 @@ private:
   struct KernelEntry : KernelReuseCache::Entry {
     size_t TimingIdx = 0; ///< index into KStats->Kernels
   };
-  /// A closed Multiloop or Flatten result, computed once per run under M.
-  /// A trap leaves Done unset, so the next reader re-raises it. Not
-  /// std::call_once: under ThreadSanitizer a call that throws leaves the
-  /// flag's waiters blocked for good.
-  struct ClosedResult {
-    std::mutex M;
-    bool Done = false;
-    Value V;
-  };
   /// Run state shared with the chunk-worker sub-evaluators: the kernel
-  /// cache, closed-node results and the profile's loop records. M guards
-  /// the maps, the records and KStats; each ClosedResult has its own lock.
-  /// Sharing them makes a nested closed loop pick the same engine
-  /// (recording its compile outcome once), run once and report once
-  /// whether the enclosing loop ran sequentially or chunked — none of that
-  /// may depend on the thread count.
+  /// cache, closed-node results, the profile's loop records and the run's
+  /// column cache. M guards the maps, the records and KStats; each closed
+  /// result's latch and the column cache have their own locks. Sharing them
+  /// makes a nested closed loop pick the same engine (recording its
+  /// compile outcome once), run once and report once whether the enclosing
+  /// loop ran sequentially or chunked — none of that may depend on the
+  /// thread count.
   struct SharedState {
     std::mutex M;
     std::unordered_map<const Expr *, KernelEntry> Compiled;
-    std::unordered_map<const Expr *, ClosedResult> Closed;
+    /// Each closed Multiloop or Flatten result, computed once per run under
+    /// its latch; a trap leaves the latch empty, so the next reader
+    /// re-raises it.
+    std::unordered_map<const Expr *, Once<Value>> Closed;
     std::vector<LoopProfile> *Loops = nullptr; ///< null without a Profile
-    /// Static work per iteration of each closed multiloop (analysis/Cost.h
-    /// FlopsPerIter), the chunk rule's input; read-only during the run.
-    std::unordered_map<const Expr *, double> Work;
-    /// Per-generator fast-path facts of each multiloop and the binding of
-    /// each input read (null when unbound), built once per run by prepare();
-    /// read-only during the run. Nodes missing from them (built after the
-    /// run began) take the general paths.
-    std::unordered_map<const Expr *, std::vector<GenFacts>> Facts;
-    std::unordered_map<const Expr *, const Value *> InputSlots;
+    /// Columns of the arrays this run computes, and its charges for the
+    /// input-owned ones the bound input set's store holds.
+    std::optional<engine::ColumnCache> Columns;
   };
   SharedState OwnShared;
   SharedState *Shared = &OwnShared;
@@ -246,7 +314,6 @@ private:
   /// and fed under Shared->M, so the lock order is always run-local state
   /// first, then the shared cache.
   KernelReuseCache *Reuse = nullptr;
-  engine::ColumnCache Columns;
   // Free symbols per node, cached (the IR is immutable).
   std::unordered_map<const Expr *, std::vector<uint64_t>> FreeCache;
 
@@ -384,10 +451,10 @@ private:
     return States;
   }
 
-  /// The run's GenFacts for \p ML's generators; null when it has none.
+  /// The GenFacts for \p ML's generators; null when it has none.
   const GenFacts *factsFor(const MultiloopExpr *ML) const {
-    auto It = Shared->Facts.find(ML);
-    return It == Shared->Facts.end() ? nullptr : It->second.data();
+    auto It = Bound.Facts.find(ML);
+    return It == Bound.Facts.end() ? nullptr : It->second.data();
   }
 
   /// Runs [Begin, End) of the loop, accumulating into \p States. Every
@@ -687,7 +754,7 @@ private:
     Ctx.Chunks = Rec.Chunks;
     Ctx.EnableWide = Rec.Wide;
     Ctx.Profile = Profile;
-    Ctx.Columns = &Columns;
+    Ctx.Columns = &*Shared->Columns;
     Ctx.Control = Control;
     Ctx.LoopCounters = Measure ? &Rec.Counters : nullptr;
     Ctx.SampleLoop = SampleName;
@@ -696,16 +763,9 @@ private:
     // another worker may be computing it concurrently.
     if (!InChunk)
       Ctx.Computed = [this](const ExprRef &Root) {
-        ClosedResult *Slot;
-        {
-          std::lock_guard<std::mutex> Lock(Shared->M);
-          auto It = Shared->Closed.find(Root.get());
-          if (It == Shared->Closed.end())
-            return false;
-          Slot = &It->second;
-        }
-        std::lock_guard<std::mutex> Lock(Slot->M);
-        return Slot->Done;
+        std::lock_guard<std::mutex> Lock(Shared->M);
+        auto It = Shared->Closed.find(Root.get());
+        return It != Shared->Closed.end() && It->second.ready();
       };
     auto T0 = std::chrono::steady_clock::now();
     if (const char *Why = engine::runKernel(*K, Rec.Iters, Ctx, Out)) {
@@ -801,7 +861,7 @@ private:
           // loop themselves (the driver's scope isn't inherited).
           SampleScope ChunkSample("exec.chunk", SampleName);
           for (int64_t C = CB; C < CE; ++C) {
-            Evaluator Sub(Inputs);
+            Evaluator Sub(Bound);
             // Nested loops inside a chunk must run the way the
             // sequential path would: same mode, same shared state (so
             // a nested closed loop compiles, runs and reports once),
@@ -875,8 +935,8 @@ private:
     }
     // The chunk count, decided once after the decision resolves, for
     // whichever engine runs the loop: MinChunk counts work units.
-    auto W = Shared->Work.find(E.get());
-    Rec.Work = chunkWork(W == Shared->Work.end() ? 0 : W->second);
+    auto W = Bound.Work.find(E.get());
+    Rec.Work = chunkWork(W == Bound.Work.end() ? 0 : W->second);
     Rec.Chunks = chunkCount(N, Rec.Work, Rec.Threads, Rec.MinChunk);
     const bool Measure = Profile != nullptr;
     LoopObservation Obs(Rec, Measure);
@@ -935,17 +995,13 @@ private:
       return It->second;
     if (!freeOf(E).empty())
       return MS.Memo.emplace(E.get(), compute(E, S)).first->second;
-    ClosedResult *Slot;
+    Once<Value> *Slot;
     {
       std::lock_guard<std::mutex> Lock(Shared->M);
       Slot = &Shared->Closed[E.get()];
     }
-    std::lock_guard<std::mutex> Lock(Slot->M);
-    if (!Slot->Done) {
-      Slot->V = compute(E, S);
-      Slot->Done = true;
-    }
-    return MS.Memo.emplace(E.get(), Slot->V).first->second;
+    const Value &V = Slot->get([&] { return compute(E, S); });
+    return MS.Memo.emplace(E.get(), V).first->second;
   }
 
   /// \p E's value by reference when it already lives somewhere stable — a
@@ -962,12 +1018,12 @@ private:
       trap("unbound symbol " + Sym->name() + std::to_string(Sym->id()));
     }
     case ExprKind::Input: {
-      auto Slot = Shared->InputSlots.find(E.get());
-      if (Slot != Shared->InputSlots.end() && Slot->second)
+      auto Slot = Bound.InputSlots.find(E.get());
+      if (Slot != Bound.InputSlots.end() && Slot->second)
         return *Slot->second;
       const auto *In = cast<InputExpr>(E);
-      auto It = Inputs.find(In->name());
-      if (It == Inputs.end())
+      auto It = Bound.Inputs->find(In->name());
+      if (It == Bound.Inputs->end())
         trap("no binding for input '" + In->name() + "'");
       return It->second;
     }
@@ -1186,13 +1242,60 @@ size_t KernelReuseCache::size() const {
 }
 
 Value dmll::evalProgram(const Program &P, const InputMap &Inputs) {
-  Evaluator E(Inputs);
-  E.prepare(P.Result);
-  return E.evalTop(P.Result);
+  InputState In(P, InputMap(), &Inputs, /*ForRuns=*/false);
+  return Evaluator(In).evalTop(P.Result);
 }
 
-ExecResult dmll::evalProgramRecover(const Program &P, const InputMap &Inputs,
-                                    const EvalOptions &Opts) {
+CompiledProgram::CompiledProgram(std::shared_ptr<ProgramState> Prog,
+                                 std::shared_ptr<const InputState> In)
+    : Prog(std::move(Prog)), In(std::move(In)) {}
+
+CompiledProgram::CompiledProgram(const Program &P, KernelReuseCache *Kernels)
+    : Prog(std::make_shared<ProgramState>()) {
+  Prog->P = &P;
+  if (Kernels)
+    Prog->Kernels = Kernels;
+}
+
+CompiledProgram::CompiledProgram(const Program &Source,
+                                 const CompileOptions &Opts,
+                                 const tune::DecisionTable *Tuning)
+    : Prog(std::make_shared<ProgramState>()) {
+  Prog->CR = std::make_unique<CompileResult>(compileProgram(Source, Opts));
+  Prog->Source = Source;
+  Prog->P = &Prog->CR->P;
+  Prog->Key = hashKey(printProgram(Source));
+  if (Tuning)
+    Prog->Tuning = *Tuning;
+}
+
+CompiledProgram CompiledProgram::bind(const InputMap &Inputs) const {
+  InputMap Own = Prog->CR ? adaptInputs(Prog->Source, *Prog->CR, Inputs)
+                          : Inputs;
+  return CompiledProgram(Prog, std::make_shared<const InputState>(
+                                   *Prog->P, std::move(Own), nullptr,
+                                   /*ForRuns=*/true));
+}
+
+CompiledProgram
+CompiledProgram::bind(int64_t Key,
+                      const std::function<InputMap()> &Make) const {
+  Once<std::shared_ptr<const InputState>> *Latch;
+  {
+    std::lock_guard<std::mutex> Lock(Prog->BindMu);
+    auto &Slot = Prog->Binds[Key];
+    if (!Slot)
+      Slot = std::make_unique<Once<std::shared_ptr<const InputState>>>();
+    Latch = Slot.get();
+  }
+  return CompiledProgram(Prog, Latch->get([&] { return bind(Make()).In; }));
+}
+
+const std::string &CompiledProgram::key() const { return Prog->Key; }
+
+ExecResult dmll::run(const CompiledProgram &H, const EvalOptions &Opts) {
+  assert(H.In && "run() needs a bound input set");
+  const CompiledProgram::ProgramState &PS = *H.Prog;
   unsigned Threads = Opts.Threads ? Opts.Threads : 1;
   // The run's control block lives on this frame; worker chunks observe it
   // through the shared Evaluator / LaunchContext pointers. Only armed when
@@ -1209,13 +1312,24 @@ ExecResult dmll::evalProgramRecover(const Program &P, const InputMap &Inputs,
   ThreadPool *Pool = Opts.Pool;
   if (!Pool && Threads > 1)
     Pool = &OwnPool.emplace(Threads);
+  const tune::DecisionTable *Tuning =
+      Opts.Tuning ? Opts.Tuning : PS.Tuning ? &*PS.Tuning : nullptr;
   ExecResult R;
   try {
-    R.Out = Evaluator(P, Inputs, Opts, Pool, Control).evalTop(P.Result);
+    R.Out = Evaluator(*H.In, Opts, Tuning, PS.Kernels, Pool, Control)
+                .evalTop(PS.P->Result);
   } catch (TrapError &E) {
     R.Status = execStatusForTrap(E.kind());
     R.TrapMessage = E.message();
     R.TrapLoop = E.loop();
   }
   return R;
+}
+
+ExecResult dmll::evalProgramRecover(const Program &P, const InputMap &Inputs,
+                                    const EvalOptions &Opts) {
+  CompiledProgram H(P, Opts.KernelReuse);
+  H.In = std::make_shared<const InputState>(P, InputMap(), &Inputs,
+                                            /*ForRuns=*/true);
+  return run(H, Opts);
 }

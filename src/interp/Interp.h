@@ -34,7 +34,12 @@
 ///    - a scalar reduce whose body is one BinOp of its parameters is
 ///      applied without building a scope;
 ///    - a BinOp whose two operands are one node (x * x) evaluates it once;
-///    - input reads resolve through a table built once per run.
+///    - input reads resolve through a table built once per input set.
+///
+/// The recoverable entry point is run() over a CompiledProgram handle, the
+/// state every run of one program on one input set shares (below).
+/// evalProgramRecover is run() over a throwaway handle, so the two differ
+/// only in how long that prepared state lives.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,6 +53,7 @@
 #include "runtime/Cancel.h"
 #include "tune/Decision.h"
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -55,6 +61,7 @@
 namespace dmll {
 
 class ThreadPool;
+struct CompileOptions;
 
 namespace engine {
 struct Kernel;
@@ -93,8 +100,8 @@ private:
 };
 
 /// The run knobs, declared once for every entry point that executes a
-/// program: evalProgramRecover (through EvalOptions) and executeProgram
-/// (runtime/Executor.h). Defaults reproduce the classic single-threaded
+/// program: run() and evalProgramRecover (through EvalOptions) and
+/// executeProgram (runtime/Executor.h). Defaults reproduce the classic single-threaded
 /// interpreter run.
 struct ExecOptions {
   unsigned Threads = 1;    ///< workers (0 selects 1)
@@ -124,16 +131,17 @@ struct ExecOptions {
   ThreadPool *Pool = nullptr;
 };
 
-/// Knobs for evalProgramRecover: the run knobs plus the cross-run kernel
-/// cache and the optional stats sinks. executeProgram takes ExecOptions
-/// alone because it compiles and frees its own program, whose Expr
-/// pointers a KernelReuseCache would outlive.
+/// Knobs for run() and evalProgramRecover: the run knobs plus the cross-run
+/// kernel cache and the optional stats sinks. executeProgram takes
+/// ExecOptions alone because it compiles and frees its own program, whose
+/// Expr pointers a KernelReuseCache would outlive.
 struct EvalOptions : ExecOptions {
   /// Cross-run compiled-kernel cache for repeated evaluations of the same
-  /// Program object. Null compiles per run; non-null makes this
-  /// run consult the cache before invoking the kernel compiler and record
-  /// its fresh outcomes into it (hits count as `engine.kernel_cache_hits`
-  /// in the metrics registry).
+  /// Program object, read by evalProgramRecover only: its throwaway handle
+  /// borrows it (run() uses the handle's own). Null compiles per run;
+  /// non-null makes the run consult the cache before invoking the kernel
+  /// compiler and record its fresh outcomes into it (hits count as
+  /// `engine.kernel_cache_hits` in the metrics registry).
   KernelReuseCache *KernelReuse = nullptr;
   ExecProfile *Profile = nullptr;          ///< optional worker metrics out
   engine::KernelStats *Kernels = nullptr;  ///< optional engine stats out
@@ -156,10 +164,67 @@ struct ExecResult {
 /// confusion aborts (programs are verified before evaluation in tests).
 Value evalProgram(const Program &P, const InputMap &Inputs);
 
-/// Runs \p P with the knobs in \p Opts and never lets a trap escape.
+/// A program prepared once for many runs: the one thing run() executes.
+/// It holds what a run would otherwise derive on every call, in two
+/// layers that copies of the handle share:
+///  * per program: the compiled program (the CompileResult when the handle
+///    compiled it), the cross-run KernelReuseCache, the tuning table, and
+///    the hash of the source program's IR (the daemon's response key);
+///  * per bound input set: the inputs, adapted to the compiled layout; the
+///    binding of each input read and each multiloop's fast-path facts; each
+///    closed loop's static work per iteration, which the chunk rule reads;
+///    and a store of the flat typed columns of every array the inputs own,
+///    filled as kernels first read them (engine/KernelVM.h ColumnCache).
+/// Tables are read-only once built; the column store and the kernel cache
+/// fill under their own locks, so several threads may run one handle at
+/// once. Arrays a run computes are flattened into that run's own cache
+/// and freed with it.
+class CompiledProgram {
+public:
+  struct ProgramState; ///< the per-program layer (Interp.cpp)
+  struct InputState;   ///< one bound input set (Interp.cpp)
+
+  /// Wraps the already-compiled program \p P, which must outlive the
+  /// handle, with kernel cache \p Kernels (the handle's own when null).
+  /// Inputs bind as given.
+  explicit CompiledProgram(const Program &P,
+                           KernelReuseCache *Kernels = nullptr);
+
+  /// Compiles \p Source with \p Opts and owns the result; the inputs it
+  /// binds are adapted to the compiled layout (adaptInputs). \p Tuning,
+  /// copied when set, steers every run.
+  CompiledProgram(const Program &Source, const CompileOptions &Opts,
+                  const tune::DecisionTable *Tuning = nullptr);
+
+  /// This program with \p Inputs, in the source layout, bound.
+  CompiledProgram bind(const InputMap &Inputs) const;
+
+  /// This program with the input set \p Make returns bound under \p Key:
+  /// built on the first call for Key, outside any lock but Key's own, and
+  /// shared by every later call.
+  CompiledProgram bind(int64_t Key,
+                       const std::function<InputMap()> &Make) const;
+
+  /// FNV-1a hash of the source program's printed IR; empty for a wrapped
+  /// program.
+  const std::string &key() const;
+
+private:
+  CompiledProgram(std::shared_ptr<ProgramState> Prog,
+                  std::shared_ptr<const InputState> In);
+  std::shared_ptr<ProgramState> Prog;
+  std::shared_ptr<const InputState> In;
+  friend ExecResult run(const CompiledProgram &H, const EvalOptions &Opts);
+  friend ExecResult evalProgramRecover(const Program &P,
+                                       const InputMap &Inputs,
+                                       const EvalOptions &Opts);
+};
+
+/// Runs the program of bound handle \p H on its inputs with the knobs in
+/// \p Opts and never lets a trap escape.
 ///
 /// Closed multiloops are split by their static work, not their length: the
-/// run builds each closed loop's work per iteration W once (analysis/Cost.h
+/// handle holds each closed loop's work per iteration W (analysis/Cost.h
 /// FlopsPerIter against the input sizes), and runtime/ThreadPool.h
 /// chunkCount splits a loop of N iterations into chunks of
 /// max(1, floor(MinChunk / W)) iterations when N is at least twice that,
@@ -185,9 +250,16 @@ Value evalProgram(const Program &P, const InputMap &Inputs);
 ///
 /// Traps, deadline expiry, and budget overruns come back as a structured
 /// ExecResult. The process — and the ThreadPool, when \p Opts.Pool names a
-/// persistent one — survives and stays reusable: a subsequent fault-free
-/// run on the same pool is bit-identical to a fresh evaluation
-/// (docs/ROBUSTNESS.md).
+/// persistent one — survives and stays reusable, and so does \p H: a
+/// subsequent fault-free run on the same pool and handle is bit-identical
+/// to a fresh evaluation, and charges the same budgets (docs/ROBUSTNESS.md).
+/// \p Opts.Tuning, when set, replaces the handle's table;
+/// \p Opts.KernelReuse is not read.
+ExecResult run(const CompiledProgram &H, const EvalOptions &Opts);
+
+/// run() over a throwaway handle: \p P, already compiled, with \p Inputs
+/// bound as given and \p Opts.KernelReuse as its kernel cache. Its
+/// prepared state lives for this call only.
 ExecResult evalProgramRecover(const Program &P, const InputMap &Inputs,
                               const EvalOptions &Opts);
 

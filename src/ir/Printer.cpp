@@ -5,6 +5,7 @@
 #include "ir/Traversal.h"
 #include "support/Error.h"
 
+#include <cstdio>
 #include <sstream>
 #include <unordered_map>
 
@@ -256,4 +257,20 @@ std::string dmll::loopSignature(const ExprRef &Loop) {
     S += genName(ML->gen(I).Kind);
   }
   return S + "]";
+}
+
+uint64_t dmll::fnv1a64(const std::string &Data) {
+  uint64_t H = 14695981039346656037ull;
+  for (unsigned char C : Data) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+std::string dmll::hashKey(const std::string &Data) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%016llx",
+                static_cast<unsigned long long>(fnv1a64(Data)));
+  return Buf;
 }

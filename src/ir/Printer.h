@@ -16,6 +16,7 @@
 
 #include "ir/Expr.h"
 
+#include <cstdint>
 #include <string>
 
 namespace dmll {
@@ -29,6 +30,12 @@ std::string printProgram(const Program &P);
 /// One-line summary of a multiloop: generator kinds and size, e.g.
 /// "Multiloop[BucketReduce,BucketReduce](len(matrix_rows))".
 std::string loopSignature(const ExprRef &Loop);
+
+/// FNV-1a 64-bit over \p Data; hashKey renders it as 16 hex digits. The
+/// hash of printProgram(P) is the key a compiled program is cached and
+/// reported under (interp/Interp.h CompiledProgram::key).
+uint64_t fnv1a64(const std::string &Data);
+std::string hashKey(const std::string &Data);
 
 } // namespace dmll
 

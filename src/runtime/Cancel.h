@@ -129,8 +129,8 @@ private:
   int64_t Limit = 0;
 };
 
-/// The per-execution control block: one per evalProgramRecover call
-/// (executeProgram runs through it), shared (by pointer, via LaunchContext
+/// The per-execution control block: one per run() (evalProgramRecover and
+/// executeProgram run through it), shared (by pointer, via LaunchContext
 /// and the chunk-spawned sub-evaluators) with every worker of the run.
 /// Null RunControl pointers everywhere mean "no limits".
 class RunControl {

@@ -47,22 +47,6 @@ bool service::recvFrame(int Fd, std::string &Body, std::string *Err) {
   return true;
 }
 
-uint64_t service::fnv1a64(const std::string &Data) {
-  uint64_t H = 14695981039346656037ull;
-  for (unsigned char C : Data) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
-std::string service::hashKey(const std::string &Data) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(fnv1a64(Data)));
-  return Buf;
-}
-
 bool service::parseRequest(const std::string &Json, Request &R,
                            std::string &Err) {
   json::JValue V;

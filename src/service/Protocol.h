@@ -29,6 +29,8 @@
 #ifndef DMLL_SERVICE_PROTOCOL_H
 #define DMLL_SERVICE_PROTOCOL_H
 
+#include "ir/Printer.h"
+
 #include <cstdint>
 #include <string>
 
@@ -90,10 +92,9 @@ std::string renderResponse(const Response &R);
 /// Parses a response payload (the client half); false on malformed JSON.
 bool parseResponse(const std::string &Json, Response &R, std::string &Err);
 
-/// FNV-1a 64-bit over \p Data — the serialized-IR hash the compiled-program
-/// cache is keyed by (rendered as 16 hex digits).
-uint64_t fnv1a64(const std::string &Data);
-std::string hashKey(const std::string &Data);
+/// The serialized-IR hash (ir/Printer.h) a response reports as its key.
+using dmll::fnv1a64;
+using dmll::hashKey;
 
 } // namespace service
 } // namespace dmll

@@ -4,15 +4,14 @@
 
 #include "codegen/CppEmitter.h"
 #include "interp/Interp.h"
-#include "ir/Printer.h"
 #include "observe/MetricsRegistry.h"
-#include "runtime/Executor.h"
 #include "runtime/ThreadPool.h"
 #include "service/Catalog.h"
 #include "support/Net.h"
 #include "transform/Pipeline.h"
 #include "tune/TuneProfile.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include <sys/socket.h>
@@ -39,15 +38,6 @@ std::string digestOf(const Value &V) {
 }
 
 } // namespace
-
-/// The compiled half of a cache entry: everything derived from the program
-/// alone, shared by every request (and scale) that names the app.
-struct Server::CacheEntry::Compiled {
-  CompileResult CR;
-  bool HasTune = false;
-  tune::DecisionTable Decisions;
-  KernelReuseCache Kernels;
-};
 
 Server::Server(ServerOptions O) : Opts(std::move(O)) {
   if (Opts.Threads == 0)
@@ -268,64 +258,52 @@ Response Server::runRequest(const Request &R) {
   Resp.Id = R.Id;
   int64_t Scale = R.Scale < 1 ? 1 : R.Scale;
 
-  CacheEntry *E = nullptr;
-  std::shared_ptr<const InputMap> Inputs;
-  bool Hit = true;
+  if (std::ranges::find(catalogNames(), R.App) == catalogNames().end()) {
+    Resp.Status = "bad_request";
+    Resp.Error = "unknown app \"" + R.App + "\"";
+    return Resp;
+  }
+  Once<CompiledProgram> *Latch;
   {
     std::lock_guard<std::mutex> L(CacheMu);
-    auto It = Cache.find(R.App);
-    if (It == Cache.end()) {
-      Hit = false;
-      auto NewE = std::make_unique<CacheEntry>();
-      if (!makeProgram(R.App, NewE->P)) {
-        Resp.Status = "bad_request";
-        Resp.Error = "unknown app \"" + R.App + "\"";
-        return Resp;
-      }
-      // Entries are keyed by app name; the hash of the serialized IR is
-      // computed once here and only reported as the response's key.
-      NewE->Key = hashKey(printProgram(NewE->P));
-      auto C = std::make_shared<CacheEntry::Compiled>();
-      C->CR = compileProgram(NewE->P, CompileOptions());
-      if (!Opts.TuneDir.empty()) {
-        tune::TuningProfile TP;
-        if (tune::readTuningProfile(Opts.TuneDir + "/" + R.App + ".tune",
-                                    TP)) {
-          C->Decisions = TP.decisions();
-          C->HasTune = true;
-        }
-      }
-      NewE->C = std::move(C);
-      E = NewE.get();
-      Cache.emplace(R.App, std::move(NewE));
-    } else {
-      E = It->second.get();
-    }
-    auto InIt = E->InputsByScale.find(Scale);
-    if (InIt == E->InputsByScale.end()) {
-      InputMap Raw;
-      int64_t N = 0;
-      makeInputs(R.App, Scale, Raw, N);
-      // Adapt to the compiled program's SoA layout once per (app, scale),
-      // not per request.
-      InIt = E->InputsByScale
-                 .emplace(Scale, std::make_shared<const InputMap>(
-                                     adaptInputs(E->P, E->C->CR, Raw)))
-                 .first;
-    }
-    Inputs = InIt->second;
+    auto &Slot = Cache[R.App];
+    if (!Slot)
+      Slot = std::make_unique<Once<CompiledProgram>>();
+    Latch = Slot.get();
   }
+  // Cold builds run under their latch only: the cache lock is free for
+  // other apps and for stats meanwhile.
+  bool Miss = false;
+  const CompiledProgram &App = Latch->get(
+      [&] {
+        Program P;
+        makeProgram(R.App, P);
+        tune::TuningProfile TP;
+        bool HasTune = !Opts.TuneDir.empty() &&
+                       tune::readTuningProfile(
+                           Opts.TuneDir + "/" + R.App + ".tune", TP);
+        tune::DecisionTable Decisions = TP.decisions();
+        return CompiledProgram(P, CompileOptions(),
+                               HasTune ? &Decisions : nullptr);
+      },
+      &Miss);
+  CompiledProgram Bound = App.bind(Scale, [&] {
+    InputMap Raw;
+    int64_t N = 0;
+    makeInputs(R.App, Scale, Raw, N);
+    return Raw;
+  });
 
   MetricsRegistry &M = MetricsRegistry::global();
-  if (Hit) {
+  if (!Miss) {
     NHits.fetch_add(1);
     M.counter("serve.cache_hits").inc();
   } else {
     NMisses.fetch_add(1);
     M.counter("serve.cache_misses").inc();
   }
-  Resp.Cache = Hit ? "hit" : "miss";
-  Resp.Key = E->Key;
+  Resp.Cache = Miss ? "miss" : "hit";
+  Resp.Key = App.key();
 
   EvalOptions EO;
   unsigned T = R.Threads ? R.Threads : Opts.Threads;
@@ -335,7 +313,6 @@ Response Server::runRequest(const Request &R) {
   EO.MinChunk = Opts.MinChunk;
   EO.Mode = R.Engine.empty() ? Opts.Mode
                              : engine::parseEngineMode(R.Engine, Opts.Mode);
-  EO.Tuning = E->C->HasTune ? &E->C->Decisions : nullptr;
   EO.Limits = Opts.DefaultLimits;
   if (R.DeadlineMs > 0)
     EO.Limits.DeadlineMs = R.DeadlineMs;
@@ -344,7 +321,6 @@ Response Server::runRequest(const Request &R) {
   if (R.MaxIterations > 0)
     EO.Limits.MaxIterations = R.MaxIterations;
   EO.Pool = Pool.get();
-  EO.KernelReuse = &E->C->Kernels;
 
   ExecResult Res;
   {
@@ -352,7 +328,7 @@ Response Server::runRequest(const Request &R) {
     // socket path is already serialized by the single executor thread,
     // this guards direct handle() callers.
     std::lock_guard<std::mutex> L(ExecMu);
-    Res = evalProgramRecover(E->C->CR.P, *Inputs, EO);
+    Res = run(Bound, EO);
   }
   Resp.Status = execStatusName(Res.Status);
   if (Res.ok()) {
@@ -401,7 +377,8 @@ ServerStats Server::stats() const {
   S.CacheMisses = NMisses.load();
   {
     std::lock_guard<std::mutex> L(CacheMu);
-    S.Programs = Cache.size();
+    for (const auto &[App, Latch] : Cache)
+      S.Programs += Latch->ready();
   }
   return S;
 }

@@ -15,16 +15,22 @@
 ///  * One ThreadPool, created at startup, serves every request (the
 ///    runtime/ThreadPool.h trap-containment contract is what makes that
 ///    safe: a trapped tenant drains cleanly and the pool stays reusable).
-///  * A compiled-program cache keyed by app name holds the CompileResult,
-///    a cross-request KernelReuseCache (interp/Interp.h), the app's tuning
-///    DecisionTable when a dmll-tune artifact is present, and per-scale
-///    SoA-adapted inputs; each entry also carries the FNV-1a hash of the
-///    program's serialized IR, reported as the response's key. The first
-///    request for an app is a miss (compiles); every later one is a hit
-///    and runs bit-identically.
-///  * Every request executes under evalProgramRecover with per-request
-///    ExecLimits, so a trapping / over-deadline / over-budget tenant gets
-///    a structured error response and the daemon keeps serving.
+///  * A cache keyed by app name holds one CompiledProgram handle per app
+///    (interp/Interp.h): the CompileResult, a cross-request
+///    KernelReuseCache, the app's tuning DecisionTable when a dmll-tune
+///    artifact is present, and the FNV-1a hash of the program's serialized
+///    IR, reported as the response's key. Per scale the handle binds one
+///    input set: the SoA-adapted inputs, the run tables (input reads,
+///    fast-path facts, each closed loop's static work) and the flat columns
+///    of the arrays those inputs own. The first request for an app is a
+///    miss (compiles); every later one is a hit and runs bit-identically,
+///    charging its budgets exactly as the first did.
+///  * A cold build holds no lock but its key's own once-latch: concurrent
+///    misses for one app (or one scale) share one build, and stats never
+///    waits for one.
+///  * Every request executes under run() with per-request ExecLimits, so a
+///    trapping / over-deadline / over-budget tenant gets a structured error
+///    response and the daemon keeps serving.
 ///  * Admission control: at most MaxQueue requests queued; overflow is
 ///    answered immediately with status "shed" instead of growing latency
 ///    unboundedly.
@@ -43,6 +49,7 @@
 #include "interp/Interp.h"
 #include "runtime/Cancel.h"
 #include "service/Protocol.h"
+#include "support/Once.h"
 
 #include <atomic>
 #include <chrono>
@@ -134,17 +141,6 @@ public:
   ServerStats stats() const;
 
 private:
-  /// One resident compiled program and everything reused across its
-  /// requests. Entries are never evicted (the catalog is finite); the
-  /// Program keeps the ExprRefs the KernelReuseCache keys alive.
-  struct CacheEntry {
-    std::string Key;     ///< hashKey(printProgram(P))
-    Program P;           ///< catalog program, pre-pipeline
-    struct Compiled;     ///< CompileResult + decisions (defined in .cpp)
-    std::shared_ptr<Compiled> C;
-    std::map<int64_t, std::shared_ptr<const InputMap>> InputsByScale;
-  };
-
   struct Job {
     int Fd = -1;
     Request R;
@@ -175,9 +171,11 @@ private:
   std::mutex StopMu;
   std::condition_variable StopCv;
 
-  mutable std::mutex CacheMu; ///< guards Cache (entry lookup/insert)
+  mutable std::mutex CacheMu; ///< guards Cache (latch lookup/insert)
   std::mutex ExecMu;          ///< serializes executions on the one pool
-  std::map<std::string, std::unique_ptr<CacheEntry>> Cache;
+  /// One handle per app, built by the first request that names it. Never
+  /// evicted: the catalog is finite.
+  std::map<std::string, std::unique_ptr<Once<CompiledProgram>>> Cache;
 
   std::atomic<int64_t> NRequests{0}, NOk{0}, NFailed{0}, NShed{0},
       NHits{0}, NMisses{0};

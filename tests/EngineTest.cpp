@@ -17,6 +17,7 @@
 #include "engine/Engine.h"
 #include "frontend/Frontend.h"
 #include "graph/Graph.h"
+#include "runtime/ThreadPool.h"
 #include "service/Catalog.h"
 #include "support/Rng.h"
 
@@ -24,6 +25,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <thread>
 
 using namespace dmll;
 using namespace dmll::frontend;
@@ -317,6 +319,45 @@ TEST(EngineApps, CatalogAppsRunOnKernelsAtDaemonSettings) {
           << (KS.Fallbacks.empty() ? "" : KS.Fallbacks[0]);
       EXPECT_EQ(KS.FallbackRuns, 0);
     }
+  }
+}
+
+/// Two threads run one bound handle at once, each on its own pool: the
+/// handle's tables are read-only, and its column store and kernel cache
+/// fill under their locks, so both results are bit-identical to
+/// evalProgramRecover's. pagerank's rank loop also reads a column its run
+/// computes, which each run flattens into its own cache.
+TEST(EngineApps, OneHandleRunsOnTwoThreadsAtOnce) {
+  for (const auto &[App, Scale] : std::vector<std::pair<std::string, int>>{
+           {"pagerank", 10}, {"tpch-q1", 50}, {"k-means", 200}}) {
+    SCOPED_TRACE(App);
+    service::AppCase C;
+    ASSERT_TRUE(service::makeApp(App, Scale, C));
+    CompileResult CR = compileProgram(C.P, CompileOptions());
+    InputMap In = adaptInputs(C.P, CR, C.Inputs);
+    CompiledProgram H = CompiledProgram(CR.P).bind(In);
+    EvalOptions Opts;
+    Opts.Threads = 2;
+    Opts.MinChunk = 64;
+    Opts.Mode = engine::EngineMode::Auto;
+    Value Expected = testutil::evalOk(CR.P, In, Opts);
+    Value Got[2];
+    std::vector<std::thread> Runners;
+    for (Value &Out : Got)
+      Runners.emplace_back([&] {
+        ThreadPool Pool(2);
+        EvalOptions O = Opts;
+        O.Pool = &Pool;
+        for (int Rep = 0; Rep < 3; ++Rep) {
+          ExecResult R = run(H, O);
+          if (R.ok())
+            Out = R.Out;
+        }
+      });
+    for (std::thread &T : Runners)
+      T.join();
+    for (const Value &Out : Got)
+      EXPECT_TRUE(sameBits(Expected, Out));
   }
 }
 

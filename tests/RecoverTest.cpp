@@ -190,6 +190,146 @@ TEST(RecoverTest, MemoryBudgetExceededOnAllocationHeavyCollect) {
   EXPECT_EQ(Ok.Out.arraySize(), 1000000u);
 }
 
+TEST(RecoverTest, KernelChargesCollectedElementsLikeTheInterpreter) {
+  // Both engines charge one Value per collected element, so a 1 MB budget
+  // stops the kernel as it stops the interpreter, and a budget of exactly
+  // what the elements take lets both finish.
+  ProgramBuilder B;
+  Val N = B.inI64("n");
+  Program P = B.build(tabulate(N, [](Val I) { return toF64(I); }));
+  const int64_t Elems = 1000000;
+  InputMap In{{"n", Value(Elems)}};
+  const int64_t Total = Elems * static_cast<int64_t>(sizeof(Value));
+  for (engine::EngineMode Mode :
+       {engine::EngineMode::Interp, engine::EngineMode::Kernel})
+    for (unsigned Threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(engine::engineModeName(Mode)) + " at " +
+                   std::to_string(Threads) + " threads");
+      ExecLimits Limits;
+      Limits.MaxMemoryBytes = 1 << 20;
+      ExecResult R = recoverRun(P, In, Mode, Threads, Limits);
+      EXPECT_EQ(R.Status, ExecStatus::BudgetExceeded) << R.TrapMessage;
+      Limits.MaxMemoryBytes = Total;
+      R = recoverRun(P, In, Mode, Threads, Limits);
+      ASSERT_TRUE(R.ok()) << R.TrapMessage;
+      EXPECT_EQ(R.Out.arraySize(), static_cast<size_t>(Elems));
+      Limits.MaxMemoryBytes = Total - 1;
+      R = recoverRun(P, In, Mode, Threads, Limits);
+      EXPECT_EQ(R.Status, ExecStatus::BudgetExceeded);
+      EXPECT_NE(R.TrapMessage.find(std::to_string(Total) + " bytes used"),
+                std::string::npos)
+          << R.TrapMessage;
+    }
+}
+
+TEST(RecoverTest, KernelChargesBucketsAndDenseTablesLikeTheInterpreter) {
+  // 4,096 elements into 1,000 dense buckets: one Value per bucketed element
+  // and one per slot of each state's table. Sequentially that is one
+  // table; in 16 chunks, the loop's own table and each chunk's. Both
+  // engines pass at exactly that budget and fail one byte below it.
+  ProgramBuilder B;
+  Val N = B.inI64("n");
+  Program P = B.build(bucketReduceDense(
+      N, [](Val I) { return I % Val(int64_t(1000)); },
+      [](Val I) { return toF64(I); }, [](Val A, Val C) { return A + C; },
+      Val(int64_t(1000))));
+  InputMap In{{"n", Value(int64_t(4096))}};
+  for (engine::EngineMode Mode :
+       {engine::EngineMode::Interp, engine::EngineMode::Kernel})
+    for (unsigned Threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(engine::engineModeName(Mode)) + " at " +
+                   std::to_string(Threads) + " threads");
+      const int64_t Tables = Threads == 1 ? 1 : 1 + 16;
+      const int64_t Total =
+          (4096 + Tables * 1000) * static_cast<int64_t>(sizeof(Value));
+      ExecLimits Limits;
+      Limits.MaxMemoryBytes = Total;
+      ExecResult R = recoverRun(P, In, Mode, Threads, Limits);
+      EXPECT_TRUE(R.ok()) << R.TrapMessage;
+      Limits.MaxMemoryBytes = Total - 1;
+      R = recoverRun(P, In, Mode, Threads, Limits);
+      EXPECT_EQ(R.Status, ExecStatus::BudgetExceeded) << R.TrapMessage;
+    }
+}
+
+TEST(RecoverTest, WarmHandleChargesAsTheColdRun) {
+  // A kernel reading two input columns and collecting its output: a cold
+  // run flattens the columns into the handle's store, and a warm run finds
+  // them there, yet charges them and gives the allocation hook its
+  // opportunities exactly as the cold run did. So at the smallest budget
+  // the cold run passes, and at one byte less, the warm run's status and
+  // message equal the cold run's, and so do a fault plan's outcomes.
+  ProgramBuilder B;
+  Val Xs = B.inVecF64("xs");
+  Val Ys = B.inVecI64("ys");
+  Val XsV = Xs, YsV = Ys;
+  Program P = B.build(
+      tabulate(Xs.len(), [&](Val I) { return XsV(I) * toF64(YsV(I)); }));
+  std::vector<double> X;
+  std::vector<int64_t> Y;
+  for (int I = 0; I < 5000; ++I) {
+    X.push_back(I * 0.5);
+    Y.push_back(I % 7);
+  }
+  InputMap In{{"xs", Value::arrayOfDoubles(X)},
+              {"ys", Value::arrayOfInts(Y)}};
+  CompiledProgram Prog(P);
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(Threads) + " threads");
+    ThreadPool Pool(Threads);
+    auto Run = [&](const CompiledProgram &H, ExecLimits Limits) {
+      EvalOptions EO;
+      EO.Threads = Threads;
+      EO.MinChunk = 4;
+      EO.Mode = engine::EngineMode::Kernel;
+      EO.Limits = Limits;
+      EO.Pool = &Pool;
+      return run(H, EO);
+    };
+    auto WithBudget = [](int64_t Bytes) {
+      ExecLimits L;
+      L.MaxMemoryBytes = Bytes;
+      return L;
+    };
+    // The smallest budget a cold run passes, each probe on a fresh binding.
+    int64_t Lo = 1, Hi = int64_t(1) << 24;
+    ASSERT_TRUE(Run(Prog.bind(In), WithBudget(Hi)).ok());
+    while (Lo < Hi) {
+      int64_t Mid = Lo + (Hi - Lo) / 2;
+      if (Run(Prog.bind(In), WithBudget(Mid)).ok())
+        Hi = Mid;
+      else
+        Lo = Mid + 1;
+    }
+    for (int64_t Bytes : {Lo, Lo - 1}) {
+      CompiledProgram H = Prog.bind(In);
+      ExecResult Cold = Run(H, WithBudget(Bytes));
+      ExecResult Warm = Run(H, WithBudget(Bytes));
+      EXPECT_EQ(Cold.ok(), Bytes == Lo) << Cold.TrapMessage;
+      EXPECT_EQ(Warm.Status, Cold.Status) << "budget " << Bytes;
+      EXPECT_EQ(Warm.TrapMessage, Cold.TrapMessage) << "budget " << Bytes;
+      if (Cold.ok() && Warm.ok()) {
+        EXPECT_TRUE(Warm.Out.deepEquals(Cold.Out, 0.0));
+      }
+    }
+    faults::FaultPlan Plan;
+    Plan.Seed = 7;
+    Plan.AllocProb = 0.5;
+    for (int Rep = 0; Rep < 4; ++Rep) {
+      CompiledProgram H = Prog.bind(In);
+      std::string Outcomes[2];
+      for (std::string &O : Outcomes) {
+        faults::ScopedFaultInjection Arm(Plan);
+        ExecResult R = Run(H, ExecLimits{});
+        O = std::string(execStatusName(R.Status)) + " " + R.TrapMessage +
+            " fired " + std::to_string(faults::firedCount(faults::Hook::Alloc));
+      }
+      EXPECT_EQ(Outcomes[1], Outcomes[0]);
+      Plan.Seed += 100;
+    }
+  }
+}
+
 TEST(RecoverTest, IterationBudgetExceeded) {
   ProgramBuilder B;
   Val N = B.inI64("n");

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <thread>
 #include <unistd.h>
 
@@ -200,6 +201,55 @@ TEST(ServeDaemon, CacheMissesOnceThenHitsBitIdentically) {
   EXPECT_EQ(St.CacheHits, 3);
   EXPECT_EQ(St.Ok, 4);
   EXPECT_EQ(St.Failed, 0);
+}
+
+TEST(ServeDaemon, FirstAndLaterRequestsAgreeForEveryApp) {
+  // The first request builds the app's handle and fills its column store;
+  // later ones run on what it holds. Each answers exactly as the first.
+  Server S(inProcessOptions());
+  for (const std::string &App : catalogNames()) {
+    Response First = S.handle(runReq(App, 100));
+    EXPECT_EQ(First.Cache, "miss") << App;
+    for (int I = 0; I < 2; ++I) {
+      Response Again = S.handle(runReq(App, 100));
+      EXPECT_EQ(Again.Cache, "hit") << App;
+      EXPECT_EQ(Again.Status, First.Status) << App;
+      EXPECT_EQ(Again.Digest, First.Digest) << App;
+      EXPECT_EQ(Again.Error, First.Error) << App;
+    }
+  }
+}
+
+TEST(ServeDaemon, ConcurrentColdMissesShareOneBuild) {
+  // Four threads ask for two cold apps at once. Each app's handle and input
+  // set build once, outside the cache lock, and every request waiting on
+  // the build shares it: one miss per app and one digest per app.
+  Server S(inProcessOptions());
+  const std::vector<std::string> Apps = {"logreg", "pagerank"};
+  std::vector<std::vector<Response>> Got(4);
+  std::vector<std::thread> Clients;
+  for (size_t C = 0; C < Got.size(); ++C)
+    Clients.emplace_back([&, C] {
+      for (int I = 0; I < 2; ++I)
+        for (const std::string &App : Apps)
+          Got[C].push_back(S.handle(runReq(App, 200)));
+      (void)S.stats(); // never waits for a build
+    });
+  for (std::thread &T : Clients)
+    T.join();
+  std::map<std::string, std::string> Digest;
+  for (const std::vector<Response> &Rs : Got)
+    for (size_t I = 0; I < Rs.size(); ++I) {
+      const std::string &App = Apps[I % Apps.size()];
+      ASSERT_EQ(Rs[I].Status, "ok") << App << ": " << Rs[I].Error;
+      auto [It, New] = Digest.emplace(App, Rs[I].Digest);
+      EXPECT_EQ(It->second, Rs[I].Digest) << App;
+    }
+  ServerStats St = S.stats();
+  EXPECT_EQ(St.Programs, Apps.size());
+  EXPECT_EQ(St.CacheMisses, static_cast<int64_t>(Apps.size()));
+  EXPECT_EQ(St.CacheHits, static_cast<int64_t>(4 * 2 * Apps.size()) -
+                              static_cast<int64_t>(Apps.size()));
 }
 
 TEST(ServeDaemon, EngineOverrideKeepsDigestsBitIdentical) {

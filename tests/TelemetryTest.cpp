@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -522,13 +523,19 @@ TEST(SamplerTest, ScopesNestAndRestore) {
 TEST(SamplerTest, RealRunProducesLoopAttribution) {
   SamplingProfiler P(0.2);
   SamplerActivation Act(P);
-  // Run enough times for the 0.2ms sampler to land inside loops even when
-  // the machine is slow; the run itself is milliseconds.
+  // The run takes milliseconds, and on a loaded host the 0.2ms sampler may
+  // neither tick nor land inside a loop during one, so run until one run's
+  // delta holds both. The bound is wall time, generous enough that only a
+  // sampler that never samples reaches it.
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
   ExecutionReport R;
-  for (int I = 0; I < 5 && R.Sampling.Samples == 0; ++I)
+  do
     R = runOnce();
+  while ((R.Sampling.Ticks == 0 || R.Sampling.Samples == 0) &&
+         std::chrono::steady_clock::now() < Deadline);
   EXPECT_TRUE(R.Sampling.Enabled);
   EXPECT_GT(R.Sampling.Ticks, 0);
+  EXPECT_GT(R.Sampling.Samples, 0);
   // Whatever was sampled must attribute to telemetry phases.
   for (const auto &[Key, N] : R.Sampling.Stacks) {
     EXPECT_GT(N, 0);
